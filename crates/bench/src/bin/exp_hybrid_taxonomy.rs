@@ -74,6 +74,8 @@ fn main() {
         ),
     ];
 
+    let variants: Vec<IdsProduct> = suites.iter().map(|(_, e)| variant(e.clone())).collect();
+    let models = feed.train(&variants);
     let exec = request.executor();
     let probes = exec.par_map(&suites, |_, (_, engines)| {
         let product = variant(engines.clone());
@@ -85,7 +87,7 @@ fn main() {
                 ..RunConfig::default()
             },
         )
-        .with_training(feed.training.clone())
+        .with_models(models.clone())
         .run(&feed.test);
         let c = ledger.score(&out.alerts);
         let tp = throughput_search(&product, &feed, request.max_throughput_factor);

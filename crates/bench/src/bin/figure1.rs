@@ -27,15 +27,14 @@ fn main() {
     let (feed, request) = standard_setup_with(common.seed_or(STANDARD_SEED), common.jobs);
     let exec = request.executor();
     let products = IdsProduct::all_models();
+    let models = feed.train(&products);
     let walks = exec.par_map(&products, |_, product| {
         let run_config = RunConfig {
             sensitivity: Sensitivity::new(0.6),
             monitored_hosts: feed.servers.clone(),
             ..RunConfig::default()
         };
-        PipelineRunner::new(product.clone(), run_config)
-            .with_training(feed.training.clone())
-            .run(&feed.test)
+        PipelineRunner::new(product.clone(), run_config).with_models(models.clone()).run(&feed.test)
     });
     for (product, walk) in products.iter().zip(&walks) {
         let arch = &product.architecture;

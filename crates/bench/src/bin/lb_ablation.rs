@@ -28,6 +28,7 @@ fn main() {
         BalanceStrategy::RoundRobin,
         BalanceStrategy::SessionHash,
     ];
+    let models = feed.train([&IdsProduct::model(ProductId::FlowHunter)]);
     let exec = request.executor();
     let rows = exec.par_map(&strategies, |_, strategy| {
         let mut product = IdsProduct::model(ProductId::FlowHunter);
@@ -38,7 +39,7 @@ fn main() {
             ..RunConfig::default()
         };
         let out = PipelineRunner::new(product.clone(), run_config.clone())
-            .with_training(feed.training.clone())
+            .with_models(models.clone())
             .run(&hot);
         let counts = hot_ledger.score(&out.alerts);
 
@@ -48,9 +49,8 @@ fn main() {
         let imbalance = if min > 0.0 { max / min } else { f64::INFINITY };
 
         // Detection at normal load for the same strategy.
-        let out_normal = PipelineRunner::new(product, run_config)
-            .with_training(feed.training.clone())
-            .run(&feed.test);
+        let out_normal =
+            PipelineRunner::new(product, run_config).with_models(models.clone()).run(&feed.test);
         let normal_counts = ledger.score(&out_normal.alerts);
 
         vec![

@@ -39,6 +39,7 @@ fn main() {
     }
     let hot = storm;
     let variants = [("separated (M:M)", false), ("combined (1:1)", true)];
+    let models = feed.train([&IdsProduct::model(ProductId::FlowHunter)]);
     let exec = request.executor();
     let rows = exec.par_map(&variants, |_, (label, combined)| {
         let mut product = IdsProduct::model(ProductId::FlowHunter);
@@ -49,8 +50,7 @@ fn main() {
             monitored_hosts: feed.servers.clone(),
             ..RunConfig::default()
         };
-        let out =
-            PipelineRunner::new(product, run_config).with_training(feed.training.clone()).run(&hot);
+        let out = PipelineRunner::new(product, run_config).with_models(models.clone()).run(&hot);
         let timing = timing_report(&hot, &out);
         vec![
             (*label).to_owned(),

@@ -9,7 +9,7 @@ use idse_exec::Executor;
 use idse_faults::{FaultComponent, FaultKind, FaultPlan, Survivability};
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
-use idse_ids::Sensitivity;
+use idse_ids::{Sensitivity, TrainedModels};
 use idse_net::trace::AttackClass;
 use idse_sim::{SimDuration, SimTime};
 use idse_traffic::generator::PayloadMode;
@@ -55,7 +55,7 @@ pub fn payload_realism_experiment(
         cfg.payload_mode = mode;
         BackgroundGenerator::new(cfg).generate()
     };
-    let training = mk(PayloadMode::Realistic, 0x7261);
+    let models = TrainedModels::train(products, &[], &mk(PayloadMode::Realistic, 0x7261));
     let realistic = mk(PayloadMode::Realistic, 0);
     let random = mk(PayloadMode::RandomBytes, 0);
 
@@ -63,7 +63,7 @@ pub fn payload_realism_experiment(
         let run = |trace: &idse_net::trace::Trace| {
             let config =
                 RunConfig { sensitivity: Sensitivity::new(sensitivity), ..RunConfig::default() };
-            PipelineRunner::new(p.clone(), config).with_training(training.clone()).run(trace)
+            PipelineRunner::new(p.clone(), config).with_models(models.clone()).run(trace)
         };
         let out_real = run(&realistic);
         let out_rand = run(&random);
@@ -129,21 +129,23 @@ pub fn site_profile_experiment(
     let cluster = TestFeed::realtime_cluster(&fc);
     let web = TestFeed::ecommerce(&fc);
     let ledger = TransactionLedger::of(&cluster.test);
+    let matched_models = cluster.train(products);
+    let mismatched_models = TrainedModels::train(products, &cluster.servers, &web.training);
 
     exec.par_map(products, |_, p| {
-        let run = |training: &idse_net::trace::Trace| {
+        let run = |models: &TrainedModels| {
             let config = RunConfig {
                 sensitivity: Sensitivity::new(sensitivity),
                 monitored_hosts: cluster.servers.clone(),
                 ..RunConfig::default()
             };
             let out = PipelineRunner::new(p.clone(), config)
-                .with_training(training.clone())
+                .with_models(models.clone())
                 .run(&cluster.test);
             ledger.score(&out.alerts)
         };
-        let matched = run(&cluster.training);
-        let mismatched = run(&web.training);
+        let matched = run(&matched_models);
+        let mismatched = run(&mismatched_models);
         SiteProfileRow {
             product: p.id.name().to_owned(),
             fp_matched: matched.false_positive_ratio(),
@@ -192,6 +194,7 @@ pub fn operating_point_experiment(
     let low_fn_point = curve.operating_point(&plan);
 
     let ledger = TransactionLedger::of(&feed.test);
+    let models = feed.train([product]);
     let trust_rate_at = |s: f64| -> Option<f64> {
         let config = RunConfig {
             sensitivity: Sensitivity::new(s),
@@ -199,7 +202,7 @@ pub fn operating_point_experiment(
             ..RunConfig::default()
         };
         let out = PipelineRunner::new(product.clone(), config)
-            .with_training(feed.training.clone())
+            .with_models(models.clone())
             .run(&feed.test);
         ledger.score(&out.alerts).class_detection_rate(AttackClass::TrustExploit)
     };
@@ -385,6 +388,7 @@ pub fn fault_matrix_experiment(
     let true_alerts = |alerts: &[idse_ids::alert::Alert]| {
         alerts.iter().filter(|a| feed.test.records()[a.trigger].truth.is_some()).count() as u64
     };
+    let models = feed.train(products);
     let run = |product: &IdsProduct, faults: Option<FaultPlan>| {
         let config = RunConfig {
             sensitivity: Sensitivity::new(sensitivity),
@@ -392,9 +396,7 @@ pub fn fault_matrix_experiment(
             faults,
             ..RunConfig::default()
         };
-        PipelineRunner::new(product.clone(), config)
-            .with_training(feed.training.clone())
-            .run(&feed.test)
+        PipelineRunner::new(product.clone(), config).with_models(models.clone()).run(&feed.test)
     };
 
     // Fault-free twins first: one baseline per product, reused by every

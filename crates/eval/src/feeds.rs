@@ -14,6 +14,8 @@
 //! the streamed feed are byte-identical by construction and by test.
 
 use idse_attacks::{Campaign, CampaignConfig};
+use idse_ids::products::IdsProduct;
+use idse_ids::TrainedModels;
 use idse_net::trace::Trace;
 use idse_sim::SimDuration;
 use idse_traffic::{
@@ -187,6 +189,13 @@ impl TestFeed {
 
         let servers = Self::server_hosts(&profile);
         Self { profile, training, background, test, servers }
+    }
+
+    /// Train, once, the models `products` deploy on this feed's training
+    /// trace, with host agents on its servers. Every run over the feed
+    /// shares the result.
+    pub fn train<'a>(&self, products: impl IntoIterator<Item = &'a IdsProduct>) -> TrainedModels {
+        TrainedModels::train(products, &self.servers, &self.training)
     }
 
     /// Stream config for the known-benign training window.

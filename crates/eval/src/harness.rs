@@ -24,7 +24,7 @@ use crate::evidence::{EvidencePolicy, EvidenceStore};
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::measure::{self, EnvironmentNeeds};
 use crate::sweep::{measure_sweep_point, ErrorCurve, SweepPlan};
-use crate::throughput::{throughput_search, ThroughputReport};
+use crate::throughput::{throughput_search_with, ThroughputReport};
 use crate::timing::{timing_report, TimingReport};
 use crate::vendor::score_vendor_metrics;
 use idse_core::{MetricId, Scorecard};
@@ -239,6 +239,9 @@ impl EvaluationRequest {
         self.sweep.validate();
         let exec = self.executor();
         let ledger = TransactionLedger::of(&feed.test);
+        // Train once: every sweep point and measured probe below deploys
+        // over these shared models.
+        let models = feed.train(products);
 
         // Phase 1+2a: the sweep fan-out — one job per (product, step).
         let mut sweep_jobs: ExperimentPlan<(usize, f64)> = ExperimentPlan::new(self.feed.seed);
@@ -258,7 +261,7 @@ impl EvaluationRequest {
                     .iter()
                     .find(|p| p.id.name() == ctx.key.subject)
                     .expect("job subject names an input product");
-                Ok(measure_sweep_point(product, feed, &ledger, s))
+                Ok(measure_sweep_point(product, feed, &models, &ledger, s))
             })?;
 
         // Reduce 2a: assemble each product's curve (results arrive keyed
@@ -335,7 +338,7 @@ impl EvaluationRequest {
                             ..RunConfig::default()
                         };
                         let outcome = PipelineRunner::new(products[index].clone(), run_config)
-                            .with_training(feed.training.clone())
+                            .with_models(models.clone())
                             .run(&feed.test);
                         ctx.telemetry.span(
                             0,
@@ -344,11 +347,14 @@ impl EvaluationRequest {
                         );
                         ProbeOutput::Operate(Box::new(outcome))
                     }
-                    ProbeJob::Throughput { index } => ProbeOutput::Throughput(throughput_search(
-                        &products[index],
-                        feed,
-                        self.max_throughput_factor,
-                    )),
+                    ProbeJob::Throughput { index } => {
+                        ProbeOutput::Throughput(throughput_search_with(
+                            &products[index],
+                            feed,
+                            &models,
+                            self.max_throughput_factor,
+                        ))
+                    }
                     ProbeJob::Survive { index, sensitivity } => {
                         // The operating-point run again, this time with the fault
                         // plan injected. Survivability falls out of comparing it
@@ -362,7 +368,7 @@ impl EvaluationRequest {
                             ..RunConfig::default()
                         };
                         let outcome = PipelineRunner::new(products[index].clone(), run_config)
-                            .with_training(feed.training.clone())
+                            .with_models(models.clone())
                             .run(&feed.test);
                         ctx.telemetry.span(0, outcome.finished_at.as_nanos(), "phase.survive_run");
                         ProbeOutput::Survive(Box::new(outcome))

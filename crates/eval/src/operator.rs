@@ -115,6 +115,7 @@ pub fn fatigue_sweep(
 ) -> Vec<FatigueRow> {
     use idse_ids::pipeline::{PipelineRunner, RunConfig};
     let ledger = TransactionLedger::of(&feed.test);
+    let models = feed.train([product]);
     let hours = window_hours;
     let mut rows = Vec::with_capacity(steps);
     for k in 0..steps {
@@ -127,7 +128,7 @@ pub fn fatigue_sweep(
                 ..RunConfig::default()
             },
         )
-        .with_training(feed.training.clone())
+        .with_models(models.clone())
         .run(&feed.test);
         let machine = ledger.score(&out.alerts);
         let effective = operator.effective_confusion(&ledger, &out.alerts, hours);

@@ -5,6 +5,10 @@
 //! scale. This module drives the Figure-1 pipeline directly from the
 //! `idse-traffic` [`RecordStream`]:
 //!
+//! * the engine models train once per request, straight from the training
+//!   stream's chunks, and every `(product, shard)` job deploys over the
+//!   same `Arc`-shared [`TrainedModels`] — the training window is never
+//!   materialized either;
 //! * each shard consumes a lazily merged stream of its background chunk
 //!   sequence and its slice of the (small, materialized) campaign, in the
 //!   exact order `Trace::merge` would produce ([`ShardFeed`]);
@@ -29,8 +33,8 @@ use crate::harness::EvaluationRequest;
 use idse_exec::{CancelToken, Cancelled, ExperimentPlan, JobKey};
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
-use idse_ids::Sensitivity;
-use idse_net::trace::{Trace, TraceRecord};
+use idse_ids::{Sensitivity, TrainedModels, Trainer};
+use idse_net::trace::TraceRecord;
 use idse_net::FlowKey;
 use idse_sim::SimTime;
 use idse_traffic::{flow_shard, RecordStream};
@@ -139,13 +143,15 @@ pub struct ShardOutcome {
 
 /// Run one shard of a product's streaming evaluation.
 ///
-/// `training` is the (short, materialized) known-benign trace every shard
-/// trains on; the test window itself is never materialized.
+/// The shard's deployment carries fresh per-run engine state over
+/// `models`, trained once for the whole request (see
+/// [`EvaluationRequest::evaluate_stream`]); the shard trains nothing, and
+/// its test window is never materialized.
 pub fn run_shard(
     product: &IdsProduct,
     profile: &idse_traffic::SiteProfile,
     config: &FeedConfig,
-    training: &Trace,
+    models: &TrainedModels,
     sensitivity: f64,
     shard: u32,
     telemetry: idse_telemetry::Telemetry,
@@ -154,7 +160,7 @@ pub fn run_shard(
         product,
         profile,
         config,
-        training,
+        models,
         sensitivity,
         shard,
         telemetry,
@@ -177,7 +183,7 @@ pub fn run_shard_cancellable(
     product: &IdsProduct,
     profile: &idse_traffic::SiteProfile,
     config: &FeedConfig,
-    training: &Trace,
+    models: &TrainedModels,
     sensitivity: f64,
     shard: u32,
     telemetry: idse_telemetry::Telemetry,
@@ -190,7 +196,7 @@ pub fn run_shard_cancellable(
         telemetry: telemetry.clone(),
         ..RunConfig::default()
     };
-    let runner = PipelineRunner::new(product.clone(), run_config).with_training(training.clone());
+    let runner = PipelineRunner::new(product.clone(), run_config).with_models(models.clone());
     // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; all reported counts come from the ordered ledger below")
     let mut session = runner.session();
     let mut ledger = StreamLedger::new();
@@ -306,11 +312,15 @@ impl EvaluationRequest {
     /// Evaluate products over the streamed real-time-cluster feed this
     /// request describes, at a fixed `sensitivity`.
     ///
-    /// One job per `(product, shard)` runs on the request's executor;
-    /// shard outcomes merge in shard order, so the returned scorecards
-    /// are byte-identical for any [`EvaluationRequest::jobs`] setting and
-    /// any `chunk_records`. Memory stays O(chunk + in-flight sessions +
-    /// distinct-flow hashes) — the test window is never materialized.
+    /// The models the products deploy train once, from the training
+    /// stream's chunks; then one job per `(product, shard)` runs on the
+    /// request's executor over those shared models. Shard outcomes merge
+    /// in shard order, so the returned scorecards are byte-identical for
+    /// any [`EvaluationRequest::jobs`] setting and any `chunk_records`.
+    /// Neither window is materialized: memory stays O(chunk + in-flight
+    /// sessions + distinct-flow hashes + trained models), plus the
+    /// training-time DNS/ICMP payload sizes the anomaly model's two-pass
+    /// statistics need (8 bytes per such record).
     pub fn evaluate_stream(
         &self,
         products: &[IdsProduct],
@@ -337,9 +347,15 @@ impl EvaluationRequest {
     ) -> Result<Vec<StreamEvaluation>, Cancelled> {
         let exec = self.executor();
         let profile = TestFeed::realtime_cluster_profile(&self.feed);
-        let training = RecordStream::new(TestFeed::training_stream(&profile, &self.feed))
-            .expect("poisson arrivals always stream")
-            .collect_trace();
+        let mut trainer = Trainer::for_products(products, &TestFeed::server_hosts(&profile));
+        if trainer.needs_records() {
+            let training = RecordStream::new(TestFeed::training_stream(&profile, &self.feed))
+                .expect("poisson arrivals always stream");
+            for chunk in training {
+                trainer.observe(&chunk);
+            }
+        }
+        let models = trainer.finish();
 
         let mut plan: ExperimentPlan<(usize, u32)> = ExperimentPlan::new(self.feed.seed);
         for (index, product) in products.iter().enumerate() {
@@ -357,7 +373,7 @@ impl EvaluationRequest {
                     &products[index],
                     &profile,
                     &self.feed,
-                    &training,
+                    &models,
                     sensitivity,
                     shard,
                     ctx.telemetry.clone(),
@@ -503,9 +519,8 @@ mod tests {
             auto_response: true,
             ..RunConfig::default()
         };
-        let outcome = PipelineRunner::new(product, run_config)
-            .with_training(feed.training.clone())
-            .run(&feed.test);
+        let outcome =
+            PipelineRunner::new(product, run_config).with_training(feed.training).run(&feed.test);
         let reference = TransactionLedger::of(&feed.test).score(&outcome.alerts);
 
         assert_eq!(eval.scorecard.alerts, outcome.alerts.len() as u64);

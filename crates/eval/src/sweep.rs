@@ -11,7 +11,7 @@ use crate::feeds::TestFeed;
 use idse_exec::{Executor, ExperimentPlan, JobKey};
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
-use idse_ids::Sensitivity;
+use idse_ids::{Sensitivity, TrainedModels};
 use serde::Serialize;
 
 /// Sweep configuration shared by the Figure 4 curve and operating-point
@@ -143,12 +143,13 @@ impl ErrorCurve {
     }
 }
 
-/// Measure one sweep sample: run the pipeline at `sensitivity` and score
-/// the alerts against the ledger. Pure function of its arguments — the
-/// unit of work one sweep job executes.
+/// Measure one sweep sample: run the pipeline over the shared `models` at
+/// `sensitivity` and score the alerts against the ledger. Pure function of
+/// its arguments — the unit of work one sweep job executes.
 pub(crate) fn measure_sweep_point(
     product: &IdsProduct,
     feed: &TestFeed,
+    models: &TrainedModels,
     ledger: &TransactionLedger,
     sensitivity: f64,
 ) -> SweepPoint {
@@ -157,7 +158,7 @@ pub(crate) fn measure_sweep_point(
         monitored_hosts: feed.servers.clone(),
         ..RunConfig::default()
     };
-    let runner = PipelineRunner::new(product.clone(), config).with_training(feed.training.clone());
+    let runner = PipelineRunner::new(product.clone(), config).with_models(models.clone());
     let outcome = runner.run(&feed.test);
     let counts = ledger.score(&outcome.alerts);
     SweepPoint {
@@ -169,8 +170,9 @@ pub(crate) fn measure_sweep_point(
 }
 
 /// Sweep one product over the plan's sensitivity ladder, sampling points
-/// in parallel on `exec`. Points come back in ladder order regardless of
-/// worker count, so the curve is byte-identical at any `--jobs N`.
+/// in parallel on `exec` over models trained once. Points come back in
+/// ladder order regardless of worker count, so the curve is byte-identical
+/// at any `--jobs N`.
 pub fn sweep(
     product: &IdsProduct,
     feed: &TestFeed,
@@ -179,6 +181,7 @@ pub fn sweep(
 ) -> ErrorCurve {
     plan.validate();
     let ledger = TransactionLedger::of(&feed.test);
+    let models = feed.train([product]);
     // Sweep jobs are pure replays of the feed — they never draw from
     // ctx.seed — so the plan's master seed is immaterial.
     let mut jobs = ExperimentPlan::new(0);
@@ -187,7 +190,7 @@ pub fn sweep(
     }
     let points = jobs
         .run(exec, &idse_telemetry::Telemetry::disabled(), |_, &s| {
-            measure_sweep_point(product, feed, &ledger, s)
+            measure_sweep_point(product, feed, &models, &ledger, s)
         })
         .into_iter()
         .map(|r| r.output)

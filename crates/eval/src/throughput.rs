@@ -10,6 +10,7 @@
 use crate::feeds::TestFeed;
 use idse_ids::pipeline::{PipelineOutcome, PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
+use idse_ids::TrainedModels;
 use serde::Serialize;
 
 /// Result of the two searches for one product.
@@ -44,7 +45,12 @@ pub fn peak_simultaneous_streams(trace: &idse_net::trace::Trace) -> usize {
     peak
 }
 
-fn run_at(product: &IdsProduct, feed: &TestFeed, factor: f64) -> PipelineOutcome {
+fn run_at(
+    product: &IdsProduct,
+    feed: &TestFeed,
+    models: &TrainedModels,
+    factor: f64,
+) -> PipelineOutcome {
     // Load tests replay the realistic *background* (content matters to
     // per-packet cost); attack accuracy is measured elsewhere. The scaled
     // trace is tiled to at least one second of sustained load so stage
@@ -54,7 +60,7 @@ fn run_at(product: &IdsProduct, feed: &TestFeed, factor: f64) -> PipelineOutcome
     let copies = if span > 0.0 { (1.0 / span).ceil().max(1.0) as u32 } else { 1 };
     let test = scaled.repeated(copies);
     let config = RunConfig { monitored_hosts: feed.servers.clone(), ..RunConfig::default() };
-    PipelineRunner::new(product.clone(), config).with_training(feed.training.clone()).run(&test)
+    PipelineRunner::new(product.clone(), config).with_models(models.clone()).run(&test)
 }
 
 /// Binary-search the zero-loss maximum and escalate to the lethal dose.
@@ -68,17 +74,28 @@ pub fn throughput_search(
     feed: &TestFeed,
     max_factor: f64,
 ) -> ThroughputReport {
+    throughput_search_with(product, feed, &feed.train([product]), max_factor)
+}
+
+/// [`throughput_search`] with every probe deployed over the shared,
+/// already-trained `models`.
+pub(crate) fn throughput_search_with(
+    product: &IdsProduct,
+    feed: &TestFeed,
+    models: &TrainedModels,
+    max_factor: f64,
+) -> ThroughputReport {
     let base_pps = feed.background.mean_pps();
     const LOSSLESS: f64 = 0.001;
 
     // Establish an upper bracket for zero-loss by doubling.
     let mut lo = 1.0;
     let mut hi = 1.0;
-    let mut hi_outcome = run_at(product, feed, hi);
+    let mut hi_outcome = run_at(product, feed, models, hi);
     while hi_outcome.loss_ratio() <= LOSSLESS && hi < max_factor {
         lo = hi;
         hi = (hi * 2.0).min(max_factor);
-        hi_outcome = run_at(product, feed, hi);
+        hi_outcome = run_at(product, feed, models, hi);
         if hi >= max_factor {
             break;
         }
@@ -90,7 +107,7 @@ pub fn throughput_search(
         // Bisect [lo, hi].
         for _ in 0..12 {
             let mid = 0.5 * (lo + hi);
-            let out = run_at(product, feed, mid);
+            let out = run_at(product, feed, models, mid);
             if out.loss_ratio() <= LOSSLESS {
                 lo = mid;
             } else {
@@ -105,7 +122,7 @@ pub fn throughput_search(
     let mut loss_at_extreme = 0.0;
     let mut factor = (zero_loss_factor * 1.5).max(2.0);
     while factor <= max_factor {
-        let out = run_at(product, feed, factor);
+        let out = run_at(product, feed, models, factor);
         loss_at_extreme = out.loss_ratio();
         if out.failures > 0 {
             lethal = Some(factor);

@@ -68,15 +68,17 @@ mod tests {
     #[test]
     fn timeliness_is_positive_and_bounded() {
         let f = feed();
+        let product = IdsProduct::model(ProductId::NidSentry);
+        let models = f.train([&product]);
         let runner = PipelineRunner::new(
-            IdsProduct::model(ProductId::NidSentry),
+            product,
             RunConfig {
                 sensitivity: Sensitivity::new(0.7),
                 monitored_hosts: f.servers.clone(),
                 ..RunConfig::default()
             },
         )
-        .with_training(f.training.clone());
+        .with_models(models);
         let out = runner.run(&f.test);
         let t = timing_report(&f.test, &out);
         assert!(t.attributable_alerts > 0);
@@ -91,11 +93,13 @@ mod tests {
     fn inline_vs_mirrored_latency() {
         let f = feed();
         let run = |id: ProductId| {
+            let product = IdsProduct::model(id);
+            let models = f.train([&product]);
             let runner = PipelineRunner::new(
-                IdsProduct::model(id),
+                product,
                 RunConfig { monitored_hosts: f.servers.clone(), ..RunConfig::default() },
             )
-            .with_training(f.training.clone());
+            .with_models(models);
             let out = runner.run(&f.test);
             timing_report(&f.test, &out)
         };

@@ -24,11 +24,12 @@
 use crate::alert::{DetectionSource, Severity};
 use crate::engine::stateful::{Cooldown, DistinctCounter, RateCounter};
 use crate::engine::{Detection, DetectionEngine, Sensitivity};
-use idse_net::trace::{AttackClass, Trace};
+use idse_net::trace::{AttackClass, Trace, TraceRecord};
 use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Anomaly engine configuration: which detector families are built in.
 #[derive(Debug, Clone)]
@@ -49,9 +50,11 @@ impl Default for AnomalyConfig {
     }
 }
 
-/// Learned baselines.
-#[derive(Debug, Clone, Default)]
-struct Baselines {
+/// The anomaly engine's trained model: the baselines it learned from
+/// known-benign traffic. Immutable once trained, so every engine instance
+/// of a job shares one copy by `Arc`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct AnomalyModel {
     /// Max distinct destination ports per source per second seen benign.
     scan_ports: f64,
     /// Max distinct destination hosts per source per second.
@@ -61,11 +64,11 @@ struct Baselines {
     /// Max failed logins per source per second.
     failed_logins: f64,
     /// Hosts that logged in during training.
-    login_hosts: HashSet<Ipv4Addr>,
+    login_hosts: BTreeSet<Ipv4Addr>,
     /// /24 prefixes that logged in during training.
-    login_prefixes: HashSet<u32>,
+    login_prefixes: BTreeSet<u32>,
     /// Per-destination-port minimum printable fraction (text services).
-    min_printable: HashMap<u16, f64>,
+    min_printable: BTreeMap<u16, f64>,
     /// DNS query payload size mean/std.
     dns_size_mean: f64,
     dns_size_std: f64,
@@ -73,15 +76,149 @@ struct Baselines {
     icmp_size_mean: f64,
     icmp_size_std: f64,
     /// Path tokens seen in RPC payloads.
-    rpc_tokens: HashSet<Vec<u8>>,
-    trained: bool,
+    rpc_tokens: BTreeSet<Vec<u8>>,
 }
 
-/// The anomaly engine.
+impl AnomalyModel {
+    /// Train on one materialized known-benign trace.
+    pub(crate) fn train(benign: &Trace) -> Self {
+        let mut trainer = AnomalyTrainer::new();
+        trainer.observe(benign.records());
+        trainer.finish()
+    }
+
+    /// Approximate retained bytes of the learned sets.
+    fn approx_bytes(&self) -> usize {
+        self.login_hosts.len() * 8
+            + self.login_prefixes.len() * 8
+            + self.min_printable.len() * 16
+            + self.rpc_tokens.iter().map(|t| t.len() + 16).sum::<usize>()
+    }
+}
+
+/// Learns an [`AnomalyModel`] from known-benign records fed in time-ordered
+/// chunks. Any chunking of the same records yields the same model: the
+/// windowed maxima and learned sets update per record, and the DNS/ICMP
+/// size statistics are computed in two passes over the collected sizes
+/// when training finishes.
+#[derive(Debug)]
+pub(crate) struct AnomalyTrainer {
+    model: AnomalyModel,
+    scan: DistinctCounter<Ipv4Addr, u16>,
+    fanout: DistinctCounter<Ipv4Addr, Ipv4Addr>,
+    syn: RateCounter<Ipv4Addr>,
+    fails: RateCounter<Ipv4Addr>,
+    dns_sizes: Vec<f64>,
+    icmp_sizes: Vec<f64>,
+}
+
+/// Mean and standard deviation (floored at 1) of `sizes`, or `prior` when
+/// training saw none.
+fn size_stats(sizes: &[f64], prior: (f64, f64)) -> (f64, f64) {
+    if sizes.is_empty() {
+        return prior;
+    }
+    let n = sizes.len() as f64;
+    let mean = sizes.iter().sum::<f64>() / n;
+    let var = sizes.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+    (mean, var.sqrt().max(1.0))
+}
+
+impl AnomalyTrainer {
+    /// A trainer that has seen no records.
+    pub(crate) fn new() -> Self {
+        Self {
+            model: AnomalyModel {
+                scan_ports: 0.0,
+                fanout_hosts: 0.0,
+                syn_rate: 0.0,
+                failed_logins: 0.0,
+                login_hosts: BTreeSet::new(),
+                login_prefixes: BTreeSet::new(),
+                min_printable: BTreeMap::new(),
+                dns_size_mean: 0.0,
+                dns_size_std: 0.0,
+                icmp_size_mean: 0.0,
+                icmp_size_std: 0.0,
+                rpc_tokens: BTreeSet::new(),
+            },
+            scan: DistinctCounter::new(),
+            fanout: DistinctCounter::new(),
+            syn: RateCounter::new(),
+            fails: RateCounter::new(),
+            dns_sizes: Vec::new(),
+            icmp_sizes: Vec::new(),
+        }
+    }
+
+    /// Learn from the next chunk of known-benign records.
+    pub(crate) fn observe(&mut self, records: &[TraceRecord]) {
+        let b = &mut self.model;
+        for rec in records {
+            let p = &rec.packet;
+            let now = rec.at;
+            if p.is_syn() {
+                if let Some(t) = p.tcp_header() {
+                    b.scan_ports =
+                        b.scan_ports.max(f64::from(self.scan.record(now, p.ip.src, t.dst_port)));
+                }
+                b.fanout_hosts =
+                    b.fanout_hosts.max(f64::from(self.fanout.record(now, p.ip.src, p.ip.dst)));
+                b.syn_rate = b.syn_rate.max(f64::from(self.syn.record(now, p.ip.dst)));
+            }
+            if crate::aho::contains(&p.payload, b"Login incorrect") {
+                b.failed_logins = b.failed_logins.max(f64::from(self.fails.record(now, p.ip.src)));
+            }
+            if is_login_payload(&p.payload) {
+                b.login_hosts.insert(p.ip.src);
+                b.login_prefixes.insert(prefix24(p.ip.src));
+            }
+            if !p.payload.is_empty() {
+                if let Some(port) = p.transport.dst_port() {
+                    let frac = printable_fraction(&p.payload);
+                    b.min_printable.entry(port).and_modify(|m| *m = m.min(frac)).or_insert(frac);
+                }
+            }
+            if p.transport.dst_port() == Some(53) {
+                self.dns_sizes.push(p.payload.len() as f64);
+            }
+            if matches!(
+                p.transport,
+                idse_net::Transport::Icmp(h) if h.kind == idse_net::packet::IcmpKind::EchoRequest
+            ) {
+                self.icmp_sizes.push(p.payload.len() as f64);
+            }
+            if p.transport.dst_port() == Some(2049) {
+                for t in tokens(&p.payload) {
+                    b.rpc_tokens.insert(t);
+                }
+            }
+        }
+    }
+
+    /// Freeze the learned baselines into a model.
+    pub(crate) fn finish(self) -> AnomalyModel {
+        let mut b = self.model;
+        // No DNS during training: on such a network any DNS traffic is
+        // judged against a conventional small-query prior.
+        (b.dns_size_mean, b.dns_size_std) = size_stats(&self.dns_sizes, (48.0, 16.0));
+        // Conventional 32-byte ping prior.
+        (b.icmp_size_mean, b.icmp_size_std) = size_stats(&self.icmp_sizes, (32.0, 8.0));
+        // Guard against degenerate baselines from tiny training sets.
+        b.scan_ports = b.scan_ports.max(2.0);
+        b.fanout_hosts = b.fanout_hosts.max(2.0);
+        b.syn_rate = b.syn_rate.max(5.0);
+        b.failed_logins = b.failed_logins.max(1.0);
+        b
+    }
+}
+
+/// The anomaly engine: a shared trained model (absent until trained)
+/// plus this run's sensitivity, windowed counters and cooldowns.
 pub struct AnomalyEngine {
     config: AnomalyConfig,
     sensitivity: Sensitivity,
-    base: Baselines,
+    model: Option<Arc<AnomalyModel>>,
     scan_ports: DistinctCounter<Ipv4Addr, u16>,
     fanout: DistinctCounter<Ipv4Addr, Ipv4Addr>,
     syn_rate: RateCounter<Ipv4Addr>,
@@ -92,7 +229,7 @@ pub struct AnomalyEngine {
 impl std::fmt::Debug for AnomalyEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnomalyEngine")
-            .field("trained", &self.base.trained)
+            .field("trained", &self.model.is_some())
             .field("sensitivity", &self.sensitivity)
             .finish()
     }
@@ -141,12 +278,12 @@ fn is_login_payload(payload: &[u8]) -> bool {
 }
 
 impl AnomalyEngine {
-    /// An untrained engine.
+    /// An untrained engine: silent until [`DetectionEngine::train`] runs.
     pub fn new(config: AnomalyConfig) -> Self {
         Self {
             config,
             sensitivity: Sensitivity::DEFAULT,
-            base: Baselines::default(),
+            model: None,
             scan_ports: DistinctCounter::new(),
             fanout: DistinctCounter::new(),
             syn_rate: RateCounter::new(),
@@ -155,9 +292,14 @@ impl AnomalyEngine {
         }
     }
 
-    /// Whether [`DetectionEngine::train`] has run.
+    /// A fresh engine over an already-trained, shared model.
+    pub(crate) fn with_model(config: AnomalyConfig, model: Arc<AnomalyModel>) -> Self {
+        Self { model: Some(model), ..Self::new(config) }
+    }
+
+    /// Whether the engine has a trained model.
     pub fn is_trained(&self) -> bool {
-        self.base.trained
+        self.model.is_some()
     }
 
     /// Rate-threshold factor: how many multiples of the benign maximum a
@@ -178,98 +320,21 @@ impl DetectionEngine for AnomalyEngine {
     }
 
     fn train(&mut self, benign: &Trace) {
-        let mut scan = DistinctCounter::new();
-        let mut fanout = DistinctCounter::new();
-        let mut syn = RateCounter::new();
-        let mut fails = RateCounter::new();
-        let mut dns_sizes: Vec<f64> = Vec::new();
-        let mut icmp_sizes: Vec<f64> = Vec::new();
-        let b = &mut self.base;
-        for rec in benign.records() {
-            let p = &rec.packet;
-            let now = rec.at;
-            if p.is_syn() {
-                if let Some(t) = p.tcp_header() {
-                    b.scan_ports =
-                        b.scan_ports.max(f64::from(scan.record(now, p.ip.src, t.dst_port)));
-                }
-                b.fanout_hosts =
-                    b.fanout_hosts.max(f64::from(fanout.record(now, p.ip.src, p.ip.dst)));
-                b.syn_rate = b.syn_rate.max(f64::from(syn.record(now, p.ip.dst)));
-            }
-            if crate::aho::contains(&p.payload, b"Login incorrect") {
-                b.failed_logins = b.failed_logins.max(f64::from(fails.record(now, p.ip.src)));
-            }
-            if is_login_payload(&p.payload) {
-                b.login_hosts.insert(p.ip.src);
-                b.login_prefixes.insert(prefix24(p.ip.src));
-            }
-            if !p.payload.is_empty() {
-                if let Some(port) = p.transport.dst_port() {
-                    let frac = printable_fraction(&p.payload);
-                    b.min_printable.entry(port).and_modify(|m| *m = m.min(frac)).or_insert(frac);
-                }
-            }
-            if p.transport.dst_port() == Some(53) {
-                dns_sizes.push(p.payload.len() as f64);
-            }
-            if matches!(
-                p.transport,
-                idse_net::Transport::Icmp(h) if h.kind == idse_net::packet::IcmpKind::EchoRequest
-            ) {
-                icmp_sizes.push(p.payload.len() as f64);
-            }
-            if p.transport.dst_port() == Some(2049) {
-                for t in tokens(&p.payload) {
-                    b.rpc_tokens.insert(t);
-                }
-            }
-        }
-        if !dns_sizes.is_empty() {
-            let n = dns_sizes.len() as f64;
-            let mean = dns_sizes.iter().sum::<f64>() / n;
-            let var = dns_sizes.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-            b.dns_size_mean = mean;
-            b.dns_size_std = var.sqrt().max(1.0);
-        } else {
-            // No DNS during training: on such a network any DNS traffic is
-            // judged against a conventional small-query prior.
-            b.dns_size_mean = 48.0;
-            b.dns_size_std = 16.0;
-        }
-        if !icmp_sizes.is_empty() {
-            let n = icmp_sizes.len() as f64;
-            let mean = icmp_sizes.iter().sum::<f64>() / n;
-            let var = icmp_sizes.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-            b.icmp_size_mean = mean;
-            b.icmp_size_std = var.sqrt().max(1.0);
-        } else {
-            // Conventional 32-byte ping prior.
-            b.icmp_size_mean = 32.0;
-            b.icmp_size_std = 8.0;
-        }
-        // Guard against degenerate baselines from tiny training sets.
-        b.scan_ports = b.scan_ports.max(2.0);
-        b.fanout_hosts = b.fanout_hosts.max(2.0);
-        b.syn_rate = b.syn_rate.max(5.0);
-        b.failed_logins = b.failed_logins.max(1.0);
-        b.trained = true;
+        self.model = Some(Arc::new(AnomalyModel::train(benign)));
     }
 
     fn inspect(&mut self, now: SimTime, packet: &Packet) -> Vec<Detection> {
         let mut out = Vec::new();
-        if !self.base.trained {
-            return out;
-        }
         let factor = self.rate_factor();
+        let Some(base) = self.model.as_deref() else {
+            return out;
+        };
         let src = packet.ip.src;
 
         if packet.is_syn() {
             if let Some(t) = packet.tcp_header() {
                 let ports = f64::from(self.scan_ports.record(now, src, t.dst_port));
-                if ports >= self.base.scan_ports * factor
-                    && self.cooldown.try_fire(now, ("scan", src))
-                {
+                if ports >= base.scan_ports * factor && self.cooldown.try_fire(now, ("scan", src)) {
                     out.push(Detection {
                         class: AttackClass::PortScan,
                         severity: Severity::Warning,
@@ -279,9 +344,7 @@ impl DetectionEngine for AnomalyEngine {
                 }
             }
             let hosts = f64::from(self.fanout.record(now, src, packet.ip.dst));
-            if hosts >= self.base.fanout_hosts * factor
-                && self.cooldown.try_fire(now, ("fanout", src))
-            {
+            if hosts >= base.fanout_hosts * factor && self.cooldown.try_fire(now, ("fanout", src)) {
                 out.push(Detection {
                     class: AttackClass::HostSweep,
                     severity: Severity::Warning,
@@ -290,7 +353,7 @@ impl DetectionEngine for AnomalyEngine {
                 });
             }
             let syns = f64::from(self.syn_rate.record(now, packet.ip.dst));
-            if syns >= self.base.syn_rate * factor
+            if syns >= base.syn_rate * factor
                 && self.cooldown.try_fire(now, ("flood", packet.ip.dst))
             {
                 out.push(Detection {
@@ -304,7 +367,7 @@ impl DetectionEngine for AnomalyEngine {
 
         if crate::aho::contains(&packet.payload, b"Login incorrect") {
             let fails = f64::from(self.failed_logins.record(now, src));
-            if fails >= self.base.failed_logins * factor
+            if fails >= base.failed_logins * factor
                 && self.cooldown.try_fire(now, ("bruteforce", src))
             {
                 out.push(Detection {
@@ -319,8 +382,8 @@ impl DetectionEngine for AnomalyEngine {
         // Origin model: logins from hosts/prefixes never seen logging in.
         if self.config.origin_model && is_login_payload(&packet.payload) {
             let s = self.sensitivity.value();
-            let unseen_prefix = !self.base.login_prefixes.contains(&prefix24(src));
-            let unseen_host = !self.base.login_hosts.contains(&src);
+            let unseen_prefix = !base.login_prefixes.contains(&prefix24(src));
+            let unseen_host = !base.login_hosts.contains(&src);
             let fire = (s >= 0.35 && unseen_prefix) || (s >= 0.75 && unseen_host);
             if fire && self.cooldown.try_fire(now, ("origin", src)) {
                 out.push(Detection {
@@ -335,7 +398,7 @@ impl DetectionEngine for AnomalyEngine {
         // Payload-character model: binary content on a learned text port.
         if self.config.payload_model && !packet.payload.is_empty() {
             if let Some(port) = packet.transport.dst_port() {
-                if let Some(&min_benign) = self.base.min_printable.get(&port) {
+                if let Some(&min_benign) = base.min_printable.get(&port) {
                     let margin = self.sensitivity.threshold(0.6, 0.2);
                     let frac = printable_fraction(&packet.payload);
                     if frac < min_benign - margin && self.cooldown.try_fire(now, ("payload", src)) {
@@ -353,11 +416,10 @@ impl DetectionEngine for AnomalyEngine {
         // DNS model: oversized queries (tunnel carrier).
         if self.config.dns_model
             && packet.transport.dst_port() == Some(53)
-            && self.base.dns_size_std > 0.0
+            && base.dns_size_std > 0.0
         {
             let k = self.sensitivity.threshold(12.0, 4.0);
-            let z =
-                (packet.payload.len() as f64 - self.base.dns_size_mean) / self.base.dns_size_std;
+            let z = (packet.payload.len() as f64 - base.dns_size_mean) / base.dns_size_std;
             if z > k && self.cooldown.try_fire(now, ("dns", src)) {
                 out.push(Detection {
                     class: AttackClass::Tunneling,
@@ -374,11 +436,10 @@ impl DetectionEngine for AnomalyEngine {
                 packet.transport,
                 idse_net::Transport::Icmp(h) if h.kind == idse_net::packet::IcmpKind::EchoRequest
             )
-            && self.base.icmp_size_std > 0.0
+            && base.icmp_size_std > 0.0
         {
             let k = self.sensitivity.threshold(12.0, 4.0);
-            let z =
-                (packet.payload.len() as f64 - self.base.icmp_size_mean) / self.base.icmp_size_std;
+            let z = (packet.payload.len() as f64 - base.icmp_size_mean) / base.icmp_size_std;
             if z > k && self.cooldown.try_fire(now, ("icmp", src)) {
                 out.push(Detection {
                     class: AttackClass::Tunneling,
@@ -396,8 +457,7 @@ impl DetectionEngine for AnomalyEngine {
             && self.sensitivity.value() >= 0.55
             && !packet.payload.is_empty()
         {
-            let novel =
-                tokens(&packet.payload).into_iter().any(|t| !self.base.rpc_tokens.contains(&t));
+            let novel = tokens(&packet.payload).into_iter().any(|t| !base.rpc_tokens.contains(&t));
             if novel && self.cooldown.try_fire(now, ("rpc", src)) {
                 out.push(Detection {
                     class: AttackClass::TrustExploit,
@@ -416,10 +476,7 @@ impl DetectionEngine for AnomalyEngine {
     }
 
     fn state_bytes(&self) -> usize {
-        self.base.login_hosts.len() * 8
-            + self.base.login_prefixes.len() * 8
-            + self.base.min_printable.len() * 16
-            + self.base.rpc_tokens.iter().map(|t| t.len() + 16).sum::<usize>()
+        self.model.as_deref().map_or(0, AnomalyModel::approx_bytes)
             + self.scan_ports.approx_bytes()
             + self.fanout.approx_bytes()
     }

@@ -16,11 +16,12 @@ use crate::alert::{DetectionSource, Severity};
 use crate::engine::stateful::{Cooldown, RateCounter};
 use crate::engine::{Detection, DetectionEngine, Sensitivity};
 use idse_net::frag::{OverlapPolicy, Reassembler};
-use idse_net::trace::{AttackClass, Trace};
+use idse_net::trace::{AttackClass, Trace, TraceRecord};
 use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Host-agent configuration.
 #[derive(Debug, Clone)]
@@ -29,14 +30,79 @@ pub struct HostAgentConfig {
     pub monitored: Vec<Ipv4Addr>,
 }
 
-/// A set of host agents (one logical engine covering all monitored hosts).
+/// The host agents' trained model: the origins that legitimately logged
+/// into the monitored hosts, with the monitored-host set it was learned
+/// for. Agents monitoring any other set refuse it (see
+/// [`HostAgentEngine::with_model`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct HostAgentModel {
+    monitored: BTreeSet<Ipv4Addr>,
+    known_login_sources: BTreeSet<Ipv4Addr>,
+}
+
+impl HostAgentModel {
+    /// Train agents for `monitored` on one materialized known-benign trace.
+    pub(crate) fn train(monitored: &[Ipv4Addr], benign: &Trace) -> Self {
+        let mut model = Self::new(monitored);
+        model.observe(benign.records());
+        model
+    }
+
+    /// A model for `monitored` that has seen no records yet — the state a
+    /// streamed training starts from.
+    pub(crate) fn new(monitored: &[Ipv4Addr]) -> Self {
+        Self {
+            monitored: monitored.iter().copied().collect(),
+            known_login_sources: BTreeSet::new(),
+        }
+    }
+
+    /// Learn from the next chunk of known-benign records (any chunking of
+    /// the same records yields the same model).
+    pub(crate) fn observe(&mut self, records: &[TraceRecord]) {
+        for rec in records {
+            let p = &rec.packet;
+            if self.monitored.contains(&p.ip.dst) && crate::aho::contains(&p.payload, b"login: ") {
+                self.known_login_sources.insert(p.ip.src);
+            }
+        }
+    }
+
+    /// Whether this model was trained for exactly the hosts in `monitored`.
+    fn serves(&self, monitored: &[Ipv4Addr]) -> bool {
+        monitored.iter().copied().collect::<BTreeSet<_>>() == self.monitored
+    }
+}
+
+/// A host-agent model offered to agents that monitor a different host set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ModelMismatch {
+    /// The hosts the model was trained for.
+    pub(crate) trained_for: Vec<Ipv4Addr>,
+    /// The hosts the agents monitor.
+    pub(crate) monitored: Vec<Ipv4Addr>,
+}
+
+impl std::fmt::Display for ModelMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "host-agent model trained for {:?} cannot serve agents monitoring {:?}",
+            self.trained_for, self.monitored
+        )
+    }
+}
+
+impl std::error::Error for ModelMismatch {}
+
+/// A set of host agents (one logical engine covering all monitored hosts):
+/// a shared trained model (absent until trained) plus this run's
+/// sensitivity, failed-login counters, cooldowns and reassembler.
 pub struct HostAgentEngine {
     config: HostAgentConfig,
     monitored: HashSet<Ipv4Addr>,
     sensitivity: Sensitivity,
-    /// Origins that legitimately logged into each monitored host.
-    known_login_sources: HashSet<Ipv4Addr>,
-    trained: bool,
+    model: Option<Arc<HostAgentModel>>,
     failed_logins: RateCounter<(Ipv4Addr, Ipv4Addr)>,
     cooldown: Cooldown<(&'static str, Ipv4Addr)>,
     /// The host stack's reassembly view (LastWins, like most victims).
@@ -47,7 +113,7 @@ impl std::fmt::Debug for HostAgentEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HostAgentEngine")
             .field("monitored", &self.monitored.len())
-            .field("trained", &self.trained)
+            .field("trained", &self.model.is_some())
             .finish()
     }
 }
@@ -63,12 +129,27 @@ impl HostAgentEngine {
             config,
             monitored,
             sensitivity: Sensitivity::DEFAULT,
-            known_login_sources: HashSet::new(),
-            trained: false,
+            model: None,
             failed_logins: RateCounter::new(),
             cooldown: Cooldown::new(SimDuration::from_secs(2)),
             reassembler: Reassembler::new(OverlapPolicy::LastWins),
         }
+    }
+
+    /// Fresh agents over an already-trained, shared model. Fails when the
+    /// model was trained for a different monitored-host set: its login
+    /// origins would silently describe the wrong hosts.
+    pub(crate) fn with_model(
+        config: HostAgentConfig,
+        model: Arc<HostAgentModel>,
+    ) -> Result<Self, ModelMismatch> {
+        if !model.serves(&config.monitored) {
+            return Err(ModelMismatch {
+                trained_for: model.monitored.iter().copied().collect(),
+                monitored: config.monitored,
+            });
+        }
+        Ok(Self { model: Some(model), ..Self::new(config) })
     }
 
     /// Hosts under monitoring.
@@ -91,13 +172,7 @@ impl DetectionEngine for HostAgentEngine {
     }
 
     fn train(&mut self, benign: &Trace) {
-        for rec in benign.records() {
-            let p = &rec.packet;
-            if self.monitored.contains(&p.ip.dst) && crate::aho::contains(&p.payload, b"login: ") {
-                self.known_login_sources.insert(p.ip.src);
-            }
-        }
-        self.trained = true;
+        self.model = Some(Arc::new(HostAgentModel::train(&self.config.monitored, benign)));
     }
 
     fn inspect(&mut self, now: SimTime, packet: &Packet) -> Vec<Detection> {
@@ -139,10 +214,9 @@ impl DetectionEngine for HostAgentEngine {
 
         // Successful login from an unknown origin (wtmp-style analysis).
         if to_us
-            && self.trained
             && self.sensitivity.value() >= 0.3
             && crate::aho::contains(&packet.payload, b"Last login")
-            && !self.known_login_sources.contains(&src)
+            && self.model.as_ref().is_some_and(|m| !m.known_login_sources.contains(&src))
             && self.cooldown.try_fire(now, ("origin", src))
         {
             out.push(Detection {
@@ -194,7 +268,8 @@ impl DetectionEngine for HostAgentEngine {
     }
 
     fn state_bytes(&self) -> usize {
-        self.known_login_sources.len() * 8 + self.monitored.len() * 8 + 4096
+        let known = self.model.as_ref().map_or(0, |m| m.known_login_sources.len());
+        known * 8 + self.monitored.len() * 8 + 4096
     }
 }
 

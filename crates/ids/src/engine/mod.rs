@@ -11,6 +11,7 @@ pub mod anomaly;
 pub mod host_agent;
 pub mod signature;
 pub mod stateful;
+pub mod training;
 
 use crate::alert::{DetectionSource, Severity};
 use idse_net::trace::{AttackClass, Trace};
@@ -78,7 +79,9 @@ pub trait DetectionEngine: Send {
     /// Adjust sensitivity.
     fn set_sensitivity(&mut self, s: Sensitivity);
 
-    /// Train on known-benign traffic (anomaly engines; no-op elsewhere).
+    /// Train this instance's own model on known-benign traffic (anomaly
+    /// engines and host agents; no-op elsewhere). Deployments instead share
+    /// models trained once through [`training::Trainer`].
     fn train(&mut self, _benign: &Trace) {}
 
     /// Inspect one packet observed at `now`; return any detections.

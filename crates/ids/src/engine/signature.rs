@@ -26,6 +26,7 @@ use idse_net::trace::AttackClass;
 use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
+use std::sync::{Arc, OnceLock};
 
 /// One signature rule.
 #[derive(Debug, Clone)]
@@ -167,10 +168,35 @@ impl Default for SignatureConfig {
     }
 }
 
-/// The signature engine.
-pub struct SignatureEngine {
+/// The signature engine's model: the rule database and the Aho–Corasick
+/// automaton compiled from its patterns. Immutable, so every engine
+/// instance shares one copy by `Arc`.
+#[derive(Debug)]
+struct SignatureModel {
     rules: Vec<Rule>,
     automaton: AhoCorasick,
+}
+
+impl SignatureModel {
+    /// Compile `rules` into a model.
+    fn new(rules: Vec<Rule>) -> Self {
+        let automaton = AhoCorasick::new(&rules.iter().map(|r| r.pattern).collect::<Vec<_>>());
+        Self { rules, automaton }
+    }
+
+    /// The [`standard_rule_db`] model, compiled once per process.
+    fn standard() -> Arc<Self> {
+        static STANDARD: OnceLock<Arc<SignatureModel>> = OnceLock::new();
+        STANDARD.get_or_init(|| Arc::new(Self::new(standard_rule_db()))).clone()
+    }
+}
+
+/// The signature engine: a shared model (the rule database and its
+/// compiled automaton, built once per process for the standard database)
+/// plus this run's sensitivity, reassembler, preprocessor counters and
+/// cooldowns.
+pub struct SignatureEngine {
+    model: Arc<SignatureModel>,
     sensitivity: Sensitivity,
     config: SignatureConfig,
     reassembler: Option<Reassembler>,
@@ -185,7 +211,7 @@ pub struct SignatureEngine {
 impl std::fmt::Debug for SignatureEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SignatureEngine")
-            .field("rules", &self.rules.len())
+            .field("rules", &self.model.rules.len())
             .field("sensitivity", &self.sensitivity)
             .finish()
     }
@@ -194,10 +220,18 @@ impl std::fmt::Debug for SignatureEngine {
 impl SignatureEngine {
     /// Build the engine over a rule database.
     pub fn new(rules: Vec<Rule>, config: SignatureConfig) -> Self {
-        let automaton = AhoCorasick::new(&rules.iter().map(|r| r.pattern).collect::<Vec<_>>());
+        Self::with_model(config, Arc::new(SignatureModel::new(rules)))
+    }
+
+    /// The engine with the standard database.
+    pub fn standard(config: SignatureConfig) -> Self {
+        Self::with_model(config, SignatureModel::standard())
+    }
+
+    /// A fresh engine over a shared model.
+    fn with_model(config: SignatureConfig, model: Arc<SignatureModel>) -> Self {
         Self {
-            rules,
-            automaton,
+            model,
             sensitivity: Sensitivity::DEFAULT,
             reassembler: config.reassembly.map(Reassembler::new),
             config,
@@ -210,14 +244,9 @@ impl SignatureEngine {
         }
     }
 
-    /// The engine with the standard database and default config.
-    pub fn standard(config: SignatureConfig) -> Self {
-        Self::new(standard_rule_db(), config)
-    }
-
     /// Number of rules loaded.
     pub fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.model.rules.len()
     }
 
     fn run_preprocessors(&mut self, now: SimTime, packet: &Packet, out: &mut Vec<Detection>) {
@@ -279,9 +308,9 @@ impl SignatureEngine {
     fn match_rules(&mut self, now: SimTime, packet: &Packet, out: &mut Vec<Detection>) {
         let port = packet.transport.dst_port().unwrap_or(0);
         let noisy_enabled = self.sensitivity.noisy_tier_enabled();
-        for pid in self.automaton.matching_patterns(&packet.payload) {
+        for pid in self.model.automaton.matching_patterns(&packet.payload) {
             let idx = pid as usize;
-            let rule = &self.rules[idx];
+            let rule = &self.model.rules[idx];
             if rule.noisy && !noisy_enabled {
                 continue;
             }
@@ -340,7 +369,7 @@ impl DetectionEngine for SignatureEngine {
     }
 
     fn state_bytes(&self) -> usize {
-        self.automaton.state_count() * 1024
+        self.model.automaton.state_count() * 1024
             + self.scan_ports.approx_bytes()
             + self.sweep_hosts.approx_bytes()
     }

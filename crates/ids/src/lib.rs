@@ -40,6 +40,7 @@ pub mod pipeline;
 pub mod products;
 
 pub use alert::{Alert, Severity};
+pub use engine::training::{TrainedModels, Trainer};
 pub use engine::Sensitivity;
 pub use pipeline::{PipelineOutcome, PipelineRunner};
 pub use products::{IdsProduct, ProductId};

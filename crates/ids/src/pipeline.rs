@@ -26,6 +26,7 @@ use crate::components::{
 use crate::engine::anomaly::AnomalyEngine;
 use crate::engine::host_agent::{HostAgentConfig, HostAgentEngine};
 use crate::engine::signature::SignatureEngine;
+use crate::engine::training::TrainedModels;
 use crate::engine::{Detection, DetectionEngine, Sensitivity};
 use crate::products::IdsProduct;
 use idse_faults::{CompiledFaults, FaultComponent, FaultStats};
@@ -36,6 +37,7 @@ use idse_sim::{AuditLevel, EventQueue, HostCpu, SimDuration, SimTime, Simulation
 use idse_telemetry::Telemetry;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Sim-time a rerouting stage pays per retry hop while hunting a live
 /// instance (bounded backoff: `hops * 250 µs`).
@@ -155,22 +157,43 @@ impl Default for RunConfig {
 }
 
 /// Builds deployments and runs traces through them.
+///
+/// The runner holds the trained models every session it opens shares:
+/// either given up front ([`PipelineRunner::with_models`]) or trained
+/// lazily, once, from a training trace on the first
+/// [`PipelineRunner::session`] ([`PipelineRunner::with_training`]), which
+/// then releases the trace.
 pub struct PipelineRunner {
     product: IdsProduct,
     config: RunConfig,
-    training: Option<Trace>,
+    training: Mutex<Option<Trace>>,
+    models: OnceLock<TrainedModels>,
 }
 
 impl PipelineRunner {
-    /// A runner for `product` under `config`.
+    /// A runner for `product` under `config`. Without training its
+    /// deployments carry untrained engines.
     pub fn new(product: IdsProduct, config: RunConfig) -> Self {
-        Self { product, config, training: None }
+        Self { product, config, training: Mutex::new(None), models: OnceLock::new() }
     }
 
     /// Provide the known-benign training trace (anomaly/host-agent
-    /// baselines).
+    /// baselines). The models are trained on the first session and shared
+    /// by every later one.
     pub fn with_training(mut self, training: Trace) -> Self {
-        self.training = Some(training);
+        self.training = Mutex::new(Some(training));
+        self.models = OnceLock::new();
+        self
+    }
+
+    /// Deploy over already-trained models (see [`Trainer`]). A host-agent
+    /// model must have been trained for `config.monitored_hosts`; sessions
+    /// panic on a mismatch rather than reuse it for the wrong hosts.
+    ///
+    /// [`Trainer`]: crate::engine::training::Trainer
+    pub fn with_models(mut self, models: TrainedModels) -> Self {
+        self.training = Mutex::new(None);
+        self.models = OnceLock::from(models);
         self
     }
 
@@ -189,7 +212,14 @@ impl PipelineRunner {
     /// kernel dispatches inputs ahead of same-instant derived events, so
     /// arrival order matches a fully pre-scheduled run).
     pub fn session(&self) -> PipelineSession {
-        let world = DeploymentWorld::build(&self.product, &self.config, self.training.as_ref());
+        let models = self.models.get_or_init(|| {
+            let training = self.training.lock().expect("held only for a take").take();
+            match training {
+                Some(t) => TrainedModels::train([&self.product], &self.config.monitored_hosts, &t),
+                None => TrainedModels::default(),
+            }
+        });
+        let world = DeploymentWorld::build(&self.product, &self.config, models);
         let mut sim = Simulation::new();
         sim.set_telemetry(self.config.telemetry.clone());
         PipelineSession { world, sim, next_index: 0 }
@@ -358,7 +388,9 @@ struct DeploymentWorld {
 }
 
 impl DeploymentWorld {
-    fn build(product: &IdsProduct, config: &RunConfig, training: Option<&Trace>) -> Self {
+    /// Deploy `product`: fresh per-run engine state for every sensor and
+    /// the host agents, all over the shared `models`.
+    fn build(product: &IdsProduct, config: &RunConfig, models: &TrainedModels) -> Self {
         let arch = &product.architecture;
         let mk_station = |name: &'static str, cap: f64, backlog: SimDuration| {
             ServiceStation::new(name, cap, backlog, arch.lethal_drop_ratio, arch.failure)
@@ -376,36 +408,37 @@ impl DeploymentWorld {
             .map(|_| mk_station("sensor", arch.sensor_capacity_ops, arch.sensor_backlog))
             .collect();
 
-        let mut sensor_sig: Vec<Option<SignatureEngine>> = (0..arch.sensors)
-            .map(|_| product.engines.signature.clone().map(SignatureEngine::standard))
+        let sensor_sig: Vec<Option<SignatureEngine>> = (0..arch.sensors)
+            .map(|_| {
+                product.engines.signature.clone().map(|c| {
+                    let mut e = SignatureEngine::standard(c);
+                    e.set_sensitivity(config.sensitivity);
+                    e
+                })
+            })
             .collect();
-        let mut sensor_ano: Vec<Option<AnomalyEngine>> = (0..arch.sensors)
-            .map(|_| product.engines.anomaly.clone().map(AnomalyEngine::new))
+        let sensor_ano: Vec<Option<AnomalyEngine>> = (0..arch.sensors)
+            .map(|_| {
+                product.engines.anomaly.clone().map(|c| {
+                    let mut e = match &models.anomaly {
+                        Some(m) => AnomalyEngine::with_model(c, Arc::clone(m)),
+                        None => AnomalyEngine::new(c),
+                    };
+                    e.set_sensitivity(config.sensitivity);
+                    e
+                })
+            })
             .collect();
-
-        let mut agents = product.engines.host_agents.then(|| {
-            HostAgentEngine::new(HostAgentConfig { monitored: config.monitored_hosts.clone() })
-        });
-
-        // Train and set sensitivity on every engine instance.
-        for engine in sensor_sig.iter_mut().flatten() {
-            if let Some(t) = training {
-                engine.train(t);
-            }
-            engine.set_sensitivity(config.sensitivity);
-        }
-        for engine in sensor_ano.iter_mut().flatten() {
-            if let Some(t) = training {
-                engine.train(t);
-            }
-            engine.set_sensitivity(config.sensitivity);
-        }
-        if let Some(agent) = agents.as_mut() {
-            if let Some(t) = training {
-                agent.train(t);
-            }
+        let agents = product.engines.host_agents.then(|| {
+            let c = HostAgentConfig { monitored: config.monitored_hosts.clone() };
+            let mut agent = match &models.host_agent {
+                Some(m) => HostAgentEngine::with_model(c, Arc::clone(m))
+                    .expect("host-agent model trained for the run's monitored hosts"),
+                None => HostAgentEngine::new(c),
+            };
             agent.set_sensitivity(config.sensitivity);
-        }
+            agent
+        });
 
         let mut host_cpus = BTreeMap::new();
         for &h in &config.monitored_hosts {
@@ -1231,6 +1264,18 @@ mod tests {
         .with_training(benign(5, 15, 25.0));
         let out = runner.run(&mixed(4, 20));
         assert!(!out.alerts.is_empty());
+    }
+
+    #[test]
+    fn sessions_share_the_models_their_runner_trained_once() {
+        let product = IdsProduct::model(ProductId::FlowHunter);
+        let runner = PipelineRunner::new(product.clone(), RunConfig::default())
+            .with_training(benign(5, 15, 25.0));
+        let (_first, _second) = (runner.session(), runner.session());
+        let models = runner.models.get().expect("trained by the first session");
+        let anomaly = models.anomaly.as_ref().expect("FlowHunter deploys the anomaly engine");
+        // The runner's copy plus one per sensor of each live session.
+        assert_eq!(Arc::strong_count(anomaly), 1 + 2 * product.architecture.sensors);
     }
 
     #[test]
