@@ -11,8 +11,10 @@
 //! [`fault_scenarios`]: idse_eval::experiments::fault_scenarios
 
 use idse_bench::{cli, outln, table, STANDARD_SEED};
-use idse_eval::experiments::{fault_matrix_experiment, fault_scenarios};
-use idse_eval::provenance::{record_fault_matrix, StoreSpec};
+use idse_eval::experiments::{
+    fault_matrix_experiment, fault_matrix_feed_config, fault_scenarios, FaultMatrixRow,
+};
+use idse_eval::{record_rows, Provenance, SensitivityPolicy};
 use idse_ids::products::IdsProduct;
 
 const USAGE: &str = "usage: exp_fault_matrix [--seed N] [--jobs N] [--json PATH] [--out PATH]\n\
@@ -20,9 +22,7 @@ const USAGE: &str = "usage: exp_fault_matrix [--seed N] [--jobs N] [--json PATH]
 
 fn main() {
     let mut args = cli::Args::parse(USAGE);
-    let store_dir = args.opt("--store");
-    let stamp = args.opt("--stamp");
-    let git_rev = args.opt("--git-rev");
+    let store = cli::store_spec(&mut args);
     let common = args.finish();
     let mut out = cli::Out::new(&common);
     let seed = common.seed_or(STANDARD_SEED);
@@ -77,20 +77,12 @@ fn main() {
     outln!(out, "steal, lossy tap, clock skew) erode retention without tripping any reroute.");
     out.finish();
 
-    if let Some(dir) = &store_dir {
-        let spec = StoreSpec::new(dir).with_stamp(stamp).with_git_rev(git_rev);
-        match record_fault_matrix(&spec, &scenarios, &rows, 0.7, seed) {
-            Ok(run) => eprintln!(
-                "recorded run {} ({} records) in {}",
-                run.header.run_id,
-                run.header.records,
-                spec.dir.display()
-            ),
-            Err(e) => {
-                eprintln!("error: run store recording failed: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(spec) = &store {
+        let provenance =
+            Provenance::new(&fault_matrix_feed_config(seed), SensitivityPolicy::fixed(0.7))
+                .with_fault_plans(scenarios.iter().map(|s| &s.plan));
+        let cells = rows.iter().flat_map(FaultMatrixRow::cells);
+        cli::report_store_result(spec, record_rows(spec, "fault-matrix", provenance, None, cells));
     }
 
     if common.json.is_some() {

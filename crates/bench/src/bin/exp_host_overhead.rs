@@ -3,8 +3,8 @@
 //! percent of the host's processing power".
 
 use idse_bench::{cli, outln, table};
-use idse_eval::host_overhead::host_overhead_experiment;
-use idse_eval::provenance::record_host_overhead;
+use idse_eval::host_overhead::{host_overhead_experiment, OverheadRow};
+use idse_eval::{record_rows, FeedConfig, Provenance, SensitivityPolicy};
 use idse_sim::SimDuration;
 
 const USAGE: &str = "usage: exp_host_overhead [--seed N] [--out PATH]\n\
@@ -19,7 +19,7 @@ fn main() {
     let seed = common.seed_or(0x0b35);
 
     outln!(out, "=== Experiment X1: host audit/monitoring overhead (§2.1) ===\n");
-    let mut sections = Vec::new();
+    let mut all_rows = Vec::new();
     for load in [0.3, 0.6, 0.95] {
         outln!(out, "--- production load ≈ {:.0}% of host capacity ---", load * 100.0);
         let rows = host_overhead_experiment(load, SimDuration::from_secs(40), 800.0, seed);
@@ -42,7 +42,7 @@ fn main() {
                 &table_rows
             )
         );
-        sections.push((load, rows));
+        all_rows.extend(rows);
     }
     outln!(out, "Paper's cited figures: nominal logging 3–5% of host resources; DoD C2-level");
     outln!(out, "(Controlled Access Protection) up to 20% — 'obviously a concern for real-time");
@@ -51,6 +51,13 @@ fn main() {
     out.finish();
 
     if let Some(spec) = &store {
-        cli::report_store_result(spec, record_host_overhead(spec, seed, &sections));
+        let provenance = Provenance::new(
+            &FeedConfig::builder().seed(seed).build(),
+            SensitivityPolicy::not_applicable(
+                "not applicable (synthetic host load, no detection sweep)",
+            ),
+        );
+        let cells = all_rows.iter().flat_map(OverheadRow::cells);
+        cli::report_store_result(spec, record_rows(spec, "host-overhead", provenance, None, cells));
     }
 }

@@ -14,8 +14,9 @@
 
 use idse_bench::{cli, outln, standard_setup_with, table, STANDARD_SEED};
 use idse_eval::confusion::TransactionLedger;
-use idse_eval::provenance::{record_hybrid_taxonomy, HybridTaxonomyRow, StoreSpec};
+use idse_eval::experiments::HybridTaxonomyRow;
 use idse_eval::throughput::throughput_search;
+use idse_eval::{record_rows, Provenance, SensitivityPolicy};
 use idse_ids::engine::anomaly::AnomalyConfig;
 use idse_ids::engine::signature::SignatureConfig;
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
@@ -34,9 +35,7 @@ const USAGE: &str = "usage: exp_hybrid_taxonomy [--seed N] [--jobs N] [--out PAT
 
 fn main() {
     let mut args = cli::Args::parse(USAGE);
-    let store_dir = args.opt("--store");
-    let stamp = args.opt("--stamp");
-    let git_rev = args.opt("--git-rev");
+    let store = cli::store_spec(&mut args);
     let common = args.finish();
     common.deny_json("exp_hybrid_taxonomy");
     let mut out = cli::Out::new(&common);
@@ -94,17 +93,33 @@ fn main() {
         (c, tp)
     });
 
-    let mut rows = Vec::new();
+    let mechanisms: Vec<HybridTaxonomyRow> = suites
+        .iter()
+        .zip(&probes)
+        .map(|((label, _), (c, tp))| HybridTaxonomyRow {
+            mechanism: (*label).to_owned(),
+            sensitivity: 0.8,
+            detection_rate: c.detection_rate(),
+            fp_ratio: c.false_positive_ratio(),
+            zero_loss_pps: tp.zero_loss_pps,
+            alerts: c.alert_count,
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = mechanisms
+        .iter()
+        .map(|m| {
+            vec![
+                m.mechanism.clone(),
+                format!("{:.2}", m.detection_rate),
+                format!("{:.4}", m.fp_ratio),
+                format!("{:.0}", m.zero_loss_pps),
+                m.alerts.to_string(),
+            ]
+        })
+        .collect();
     let mut class_rows: Vec<Vec<String>> =
         AttackClass::ALL.iter().map(|c| vec![c.name().to_owned()]).collect();
-    for ((label, _), (c, tp)) in suites.iter().zip(&probes) {
-        rows.push(vec![
-            (*label).to_owned(),
-            format!("{:.2}", c.detection_rate()),
-            format!("{:.4}", c.false_positive_ratio()),
-            format!("{:.0}", tp.zero_loss_pps),
-            c.alert_count.to_string(),
-        ]);
+    for (c, _) in &probes {
         for (row, class) in class_rows.iter_mut().zip(AttackClass::ALL.iter()) {
             row.push(match c.class_detection_rate(*class) {
                 Some(r) => format!("{r:.2}"),
@@ -126,30 +141,10 @@ fn main() {
     outln!(out, "every packet — buys the lowest zero-loss throughput of the three.");
     out.finish();
 
-    if let Some(dir) = &store_dir {
-        let spec = StoreSpec::new(dir).with_stamp(stamp).with_git_rev(git_rev);
-        let store_rows: Vec<HybridTaxonomyRow> = suites
-            .iter()
-            .zip(&probes)
-            .map(|((label, _), (c, tp))| HybridTaxonomyRow {
-                mechanism: (*label).to_owned(),
-                detection_rate: c.detection_rate(),
-                fp_ratio: c.false_positive_ratio(),
-                zero_loss_pps: tp.zero_loss_pps,
-                alerts: c.alert_count,
-            })
-            .collect();
-        match record_hybrid_taxonomy(&spec, &request, 0.8, &store_rows) {
-            Ok(run) => eprintln!(
-                "recorded run {} ({} records) in {}",
-                run.header.run_id,
-                run.header.records,
-                spec.dir.display()
-            ),
-            Err(e) => {
-                eprintln!("error: run store recording failed: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(spec) = &store {
+        let provenance = Provenance::new(&request.feed, SensitivityPolicy::fixed(0.8));
+        let cells = mechanisms.iter().flat_map(HybridTaxonomyRow::cells);
+        let result = record_rows(spec, "hybrid-taxonomy", provenance, None, cells);
+        cli::report_store_result(spec, result);
     }
 }

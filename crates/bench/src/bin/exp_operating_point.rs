@@ -4,8 +4,11 @@
 //! in the process."
 
 use idse_bench::{cli, outln, table};
-use idse_eval::experiments::operating_point_experiment;
-use idse_eval::provenance::record_operating_point;
+use idse_eval::experiments::{
+    operating_point_experiment, operating_point_feed_config, operating_point_plan,
+    OperatingPointReport,
+};
+use idse_eval::{record_rows, Provenance, SensitivityPolicy};
 use idse_ids::products::{IdsProduct, ProductId};
 
 const USAGE: &str = "usage: exp_operating_point [--seed N] [--jobs N] [--json PATH] [--out PATH]\n\
@@ -69,6 +72,12 @@ fn main() {
     }
 
     if let Some(spec) = &store {
-        cli::report_store_result(spec, record_operating_point(spec, seed, 0.2, &reports));
+        let provenance = Provenance::new(
+            &operating_point_feed_config(seed),
+            SensitivityPolicy::budgeted(&operating_point_plan(0.2)),
+        );
+        let cells = reports.iter().flat_map(OperatingPointReport::cells);
+        let result = record_rows(spec, "operating-point", provenance, None, cells);
+        cli::report_store_result(spec, result);
     }
 }

@@ -5,8 +5,8 @@
 //! normal events … lead to the IDS being ignored by the operators" (§2.2).
 
 use idse_bench::{cli, outln, standard_setup_with, table, STANDARD_SEED};
-use idse_eval::operator::{fatigue_sweep, OperatorModel};
-use idse_eval::provenance::record_operator_fatigue;
+use idse_eval::operator::{fatigue_sweep, FatigueRow, OperatorModel};
+use idse_eval::{record_rows, Provenance};
 use idse_ids::products::{IdsProduct, ProductId};
 
 const USAGE: &str = "usage: exp_operator_fatigue [--seed N] [--jobs N] [--out PATH]\n\
@@ -24,14 +24,11 @@ fn main() {
         "=== Future work: operator fatigue and the human-constrained operating point ===\n"
     );
     let (feed, request) = standard_setup_with(common.seed_or(STANDARD_SEED), common.jobs);
-    let mut sections = Vec::new();
+    let mut all_rows = Vec::new();
 
     // The 45-second canned feed stands for one watch hour of traffic.
-    for (label, operator) in [
-        ("single watchstander (40 triage/hour)", OperatorModel::single_watchstander()),
-        ("staffed floor (200 triage/hour)", OperatorModel::staffed_floor()),
-    ] {
-        outln!(out, "--- {} — GuardSecure GS-5 ---", label);
+    for operator in [OperatorModel::single_watchstander(), OperatorModel::staffed_floor()] {
+        outln!(out, "--- {} — GuardSecure GS-5 ---", operator.name);
         let rows =
             fatigue_sweep(&IdsProduct::model(ProductId::GuardSecure), &feed, operator, 1.0, 7);
         let table_rows: Vec<Vec<String>> = rows
@@ -72,7 +69,7 @@ fn main() {
             best_effective.sensitivity,
             best_effective.effective_detection,
         );
-        sections.push((label.to_owned(), rows));
+        all_rows.extend(rows);
     }
     outln!(out, "When the alert stream exceeds the triage budget, added sensitivity buys");
     outln!(out, "machine detections that no human ever reads. A procurer sizing a watch floor");
@@ -81,6 +78,9 @@ fn main() {
     out.finish();
 
     if let Some(spec) = &store {
-        cli::report_store_result(spec, record_operator_fatigue(spec, &request, &sections));
+        let provenance = Provenance::for_request(&request);
+        let cells = all_rows.iter().flat_map(FatigueRow::cells);
+        let result = record_rows(spec, "operator-fatigue", provenance, None, cells);
+        cli::report_store_result(spec, result);
     }
 }

@@ -3,11 +3,12 @@
 //! of an IP packet should have realistic content."
 
 use idse_bench::{cli, outln, table};
-use idse_eval::experiments::payload_realism_experiment;
-use idse_eval::provenance::{record_payload_realism, PayloadStatsRow};
+use idse_eval::experiments::{
+    payload_content_stats, payload_realism_experiment, payload_realism_feed_config,
+    PayloadStatsRow, RealismRow,
+};
+use idse_eval::{record_rows, Provenance, SensitivityPolicy};
 use idse_ids::products::IdsProduct;
-use idse_sim::RngStream;
-use idse_traffic::realism::{byte_entropy, printable_fraction, realism_score};
 
 const USAGE: &str = "usage: exp_payload_realism [--seed N] [--jobs N] [--json PATH] [--out PATH]\n\
                      \x20                          [--store DIR] [--stamp S] [--git-rev REV]";
@@ -23,41 +24,22 @@ fn main() {
     outln!(out, "=== Experiment X2: random-byte flood vs realistic-content load ===\n");
 
     // First show the content statistics that separate the two loads.
-    let mut rng = RngStream::derive(seed, "x2-content");
-    let real: Vec<Vec<u8>> =
-        (0..200).map(|_| idse_traffic::payload::http_request(&mut rng)).collect();
-    let rand: Vec<Vec<u8>> =
-        real.iter().map(|p| idse_traffic::payload::random_bytes(&mut rng, p.len())).collect();
-    let stats = |ps: &[Vec<u8>]| {
-        let all: Vec<u8> = ps.iter().flatten().copied().collect();
-        (
-            byte_entropy(&all),
-            printable_fraction(&all),
-            realism_score(ps.iter().map(|v| v.as_slice())),
-        )
-    };
-    let (re, rp, rs) = stats(&real);
-    let (ne, np, ns) = stats(&rand);
+    let stats = payload_content_stats(seed);
+    let stats_rows: Vec<Vec<String>> = stats
+        .iter()
+        .map(|st| {
+            vec![
+                st.load.clone(),
+                format!("{:.2}", st.byte_entropy),
+                format!("{:.2}", st.printable_fraction),
+                format!("{:.2}", st.realism_score),
+            ]
+        })
+        .collect();
     outln!(
         out,
         "{}",
-        table(
-            &["Load", "Byte entropy (bits)", "Printable fraction", "Realism score"],
-            &[
-                vec![
-                    "realistic".into(),
-                    format!("{re:.2}"),
-                    format!("{rp:.2}"),
-                    format!("{rs:.2}")
-                ],
-                vec![
-                    "random bytes".into(),
-                    format!("{ne:.2}"),
-                    format!("{np:.2}"),
-                    format!("{ns:.2}")
-                ],
-            ]
-        )
+        table(&["Load", "Byte entropy (bits)", "Printable fraction", "Realism score"], &stats_rows)
     );
 
     outln!(out, "IDS behaviour under the two loads (same session timing and sizes):\n");
@@ -99,20 +81,13 @@ fn main() {
     }
 
     if let Some(spec) = &store {
-        let stats = [
-            PayloadStatsRow {
-                load: "realistic".to_owned(),
-                byte_entropy: re,
-                printable_fraction: rp,
-                realism_score: rs,
-            },
-            PayloadStatsRow {
-                load: "random bytes".to_owned(),
-                byte_entropy: ne,
-                printable_fraction: np,
-                realism_score: ns,
-            },
-        ];
-        cli::report_store_result(spec, record_payload_realism(spec, seed, 0.8, &stats, &rows));
+        let provenance =
+            Provenance::new(&payload_realism_feed_config(seed), SensitivityPolicy::fixed(0.8));
+        let cells = stats
+            .iter()
+            .flat_map(PayloadStatsRow::cells)
+            .chain(rows.iter().flat_map(RealismRow::cells));
+        let result = record_rows(spec, "payload-realism", provenance, None, cells);
+        cli::report_store_result(spec, result);
     }
 }

@@ -5,8 +5,8 @@
 //! deployed."
 
 use idse_bench::{cli, outln, table};
-use idse_eval::experiments::site_profile_experiment;
-use idse_eval::provenance::record_site_profile;
+use idse_eval::experiments::{site_profile_experiment, site_profile_feed_config, SiteProfileRow};
+use idse_eval::{record_rows, Provenance, SensitivityPolicy};
 use idse_ids::products::IdsProduct;
 
 const USAGE: &str = "usage: exp_site_profile [--seed N] [--jobs N] [--json PATH] [--out PATH]\n\
@@ -63,6 +63,9 @@ fn main() {
     }
 
     if let Some(spec) = &store {
-        cli::report_store_result(spec, record_site_profile(spec, seed, 0.7, &rows));
+        let provenance =
+            Provenance::new(&site_profile_feed_config(seed), SensitivityPolicy::fixed(0.7));
+        let cells = rows.iter().flat_map(SiteProfileRow::cells);
+        cli::report_store_result(spec, record_rows(spec, "site-profile", provenance, None, cells));
     }
 }

@@ -1,9 +1,12 @@
 //! # idse-bench — table/figure regeneration and micro-benchmarks
 //!
-//! One binary per paper artifact (see DESIGN.md's experiment index):
+//! One binary per paper artifact (see DESIGN.md's experiment index), plus
+//! the run-store, service and lint tools:
 //!
-//! | binary | regenerates |
+//! | binary | regenerates or runs |
 //! |---|---|
+//! | `evaluate` | the full four-product scorecard evaluation, ranked under a weighting |
+//! | `stream` | the constant-memory sharded streaming evaluation at scale |
 //! | `table1` `table2` `table3` | the selected-metric tables with per-product scores |
 //! | `figure1` | the generalized architecture, walked per product |
 //! | `figure2` | the subprocess cardinality relations + conformance |
@@ -15,8 +18,14 @@
 //! | `exp_payload_realism` | X2: random-flood vs realistic-content loads |
 //! | `exp_site_profile` | X3: e-commerce-tuned IDS on cluster traffic |
 //! | `exp_operating_point` | X4: §3.3 distributed operating-point rule |
+//! | `exp_fault_matrix` | X7: component × fault-type survivability matrix |
+//! | `exp_hybrid_taxonomy` | §2.1 signature vs anomaly vs hybrid mechanisms |
+//! | `exp_operator_fatigue` | §4 future work: operator triage vs sensitivity |
 //! | `lb_ablation` | load-balancing strategy ablation |
 //! | `sensor_analyzer_split` | combined vs separated sensing/analysis |
+//! | `store` | run-store queries, diffs and BENCH report import/export |
+//! | `daemon` | the evaluation service: serve, replay a script, or client |
+//! | `lint` | `idse-lint`, the workspace's static analysis |
 //!
 //! Criterion benches live in `benches/`.
 
@@ -58,11 +67,6 @@ pub fn standard_setup_with(seed: u64, jobs: usize) -> (TestFeed, EvaluationReque
     (feed, request)
 }
 
-/// [`standard_setup_with`] at the canonical seed, serial.
-pub fn standard_setup() -> (TestFeed, EvaluationRequest) {
-    standard_setup_with(STANDARD_SEED, 1)
-}
-
 /// Run the full standard evaluation (all four products).
 pub fn standard_evaluation_with(
     seed: u64,
@@ -71,11 +75,6 @@ pub fn standard_evaluation_with(
     let (feed, request) = standard_setup_with(seed, jobs);
     let evals = request.evaluate_all(&feed);
     (feed, request, evals)
-}
-
-/// [`standard_evaluation_with`] at the canonical seed, serial.
-pub fn standard_evaluation() -> (TestFeed, EvaluationRequest, Vec<ProductEvaluation>) {
-    standard_evaluation_with(STANDARD_SEED, 1)
 }
 
 /// Render a compact fixed-width table.
@@ -127,8 +126,8 @@ mod tests {
 
     #[test]
     fn standard_setup_is_reproducible() {
-        let (a, _) = standard_setup();
-        let (b, _) = standard_setup();
+        let (a, _) = standard_setup_with(STANDARD_SEED, 1);
+        let (b, _) = standard_setup_with(STANDARD_SEED, 1);
         assert_eq!(a.test.len(), b.test.len());
     }
 }

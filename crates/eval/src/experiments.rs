@@ -4,6 +4,7 @@
 
 use crate::confusion::TransactionLedger;
 use crate::feeds::{FeedConfig, TestFeed};
+use crate::provenance::Cell;
 use crate::sweep::{sweep, ErrorCurve, SweepPlan, SweepPoint};
 use idse_exec::Executor;
 use idse_faults::{FaultComponent, FaultKind, FaultPlan, Survivability};
@@ -11,8 +12,10 @@ use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
 use idse_ids::{Sensitivity, TrainedModels};
 use idse_net::trace::AttackClass;
-use idse_sim::{SimDuration, SimTime};
+use idse_sim::{RngStream, SimDuration, SimTime};
 use idse_traffic::generator::PayloadMode;
+use idse_traffic::payload;
+use idse_traffic::realism::{byte_entropy, printable_fraction, realism_score};
 use idse_traffic::{ArrivalProcess, BackgroundGenerator, GeneratorConfig, SiteProfile};
 use serde::Serialize;
 
@@ -35,6 +38,76 @@ pub struct RealismRow {
     pub cost_random: f64,
 }
 
+impl RealismRow {
+    /// Store cells: alert volume and inspection cost per load.
+    pub fn cells(&self) -> Vec<Cell> {
+        let realistic = format!("{}@realistic", self.product);
+        let random = format!("{}@random", self.product);
+        vec![
+            Cell::new(&realistic, "measure.alerts_per_kpkt", self.alerts_per_kpkt_realistic),
+            Cell::new(&realistic, "measure.ops_per_pkt", self.cost_realistic),
+            Cell::new(&random, "measure.alerts_per_kpkt", self.alerts_per_kpkt_random),
+            Cell::new(&random, "measure.ops_per_pkt", self.cost_random),
+        ]
+    }
+}
+
+/// Content statistics for one payload load in the X2 realism experiment.
+#[derive(Debug, Clone, Serialize)]
+pub struct PayloadStatsRow {
+    /// Load label (`realistic`, `random bytes`).
+    pub load: String,
+    /// Shannon entropy over payload bytes, bits per byte.
+    pub byte_entropy: f64,
+    /// Fraction of printable ASCII bytes.
+    pub printable_fraction: f64,
+    /// The realism score the generator targets.
+    pub realism_score: f64,
+}
+
+impl PayloadStatsRow {
+    /// Store cells, keyed `payload:{load}`.
+    pub fn cells(&self) -> Vec<Cell> {
+        let key = format!("payload:{}", self.load);
+        vec![
+            Cell::new(&key, "measure.byte_entropy", self.byte_entropy),
+            Cell::new(&key, "measure.printable_fraction", self.printable_fraction),
+            Cell::new(&key, "measure.realism_score", self.realism_score),
+        ]
+    }
+}
+
+/// The content statistics that separate X2's two loads: 200 generated
+/// HTTP requests (`realistic`) against random bytes of the same lengths
+/// (`random bytes`).
+pub fn payload_content_stats(seed: u64) -> [PayloadStatsRow; 2] {
+    let mut rng = RngStream::derive(seed, "x2-content");
+    let real: Vec<Vec<u8>> = (0..200).map(|_| payload::http_request(&mut rng)).collect();
+    let rand: Vec<Vec<u8>> =
+        real.iter().map(|p| payload::random_bytes(&mut rng, p.len())).collect();
+    let stats = |load: &str, ps: &[Vec<u8>]| {
+        let all: Vec<u8> = ps.iter().flatten().copied().collect();
+        PayloadStatsRow {
+            load: load.to_owned(),
+            byte_entropy: byte_entropy(&all),
+            printable_fraction: printable_fraction(&all),
+            realism_score: realism_score(ps.iter().map(|v| v.as_slice())),
+        }
+    };
+    [stats("realistic", &real), stats("random bytes", &rand)]
+}
+
+/// The X2 generator setup: the session rate and the training and test
+/// spans both loads are generated with.
+pub fn payload_realism_feed_config(seed: u64) -> FeedConfig {
+    FeedConfig::builder()
+        .session_rate(25.0)
+        .training_span(SimDuration::from_secs(25))
+        .test_span(SimDuration::from_secs(25))
+        .seed(seed)
+        .build()
+}
+
 /// Run X2 for the given products at one sensitivity. Products are probed
 /// in parallel on `exec`; rows come back in input order.
 pub fn payload_realism_experiment(
@@ -43,21 +116,21 @@ pub fn payload_realism_experiment(
     seed: u64,
     exec: &Executor,
 ) -> Vec<RealismRow> {
-    let span = SimDuration::from_secs(25);
-    let rate = 25.0;
-    let mk = |mode: PayloadMode, seed_off: u64| {
+    let fc = payload_realism_feed_config(seed);
+    let mk = |mode: PayloadMode, span: SimDuration, seed_off: u64| {
         let mut cfg = GeneratorConfig::new(
             SiteProfile::ecommerce_web(),
-            ArrivalProcess::Poisson { rate },
+            ArrivalProcess::Poisson { rate: fc.session_rate },
             span,
             seed ^ seed_off,
         );
         cfg.payload_mode = mode;
         BackgroundGenerator::new(cfg).generate()
     };
-    let models = TrainedModels::train(products, &[], &mk(PayloadMode::Realistic, 0x7261));
-    let realistic = mk(PayloadMode::Realistic, 0);
-    let random = mk(PayloadMode::RandomBytes, 0);
+    let models =
+        TrainedModels::train(products, &[], &mk(PayloadMode::Realistic, fc.training_span, 0x7261));
+    let realistic = mk(PayloadMode::Realistic, fc.test_span, 0);
+    let random = mk(PayloadMode::RandomBytes, fc.test_span, 0);
 
     exec.par_map(products, |_, p| {
         let run = |trace: &idse_net::trace::Trace| {
@@ -115,6 +188,20 @@ pub struct SiteProfileRow {
     pub detection_matched: f64,
     /// Attack-instance detection rate in the mismatched case.
     pub detection_mismatched: f64,
+}
+
+impl SiteProfileRow {
+    /// Store cells: FP ratio and detection rate, matched and mismatched.
+    pub fn cells(&self) -> Vec<Cell> {
+        let matched = format!("{}@matched", self.product);
+        let mismatched = format!("{}@mismatched", self.product);
+        vec![
+            Cell::new(&matched, "measure.fp_ratio", self.fp_matched),
+            Cell::new(&matched, "measure.detection_rate", self.detection_matched),
+            Cell::new(&mismatched, "measure.fp_ratio", self.fp_mismatched),
+            Cell::new(&mismatched, "measure.detection_rate", self.detection_mismatched),
+        ]
+    }
 }
 
 /// Run X3 for the given products at one sensitivity. Products are probed
@@ -178,6 +265,37 @@ pub struct OperatingPointReport {
     pub trust_detection_at_low_fn: Option<f64>,
 }
 
+impl OperatingPointReport {
+    /// Store cells: the `@eer` and `@low-fn` points that exist, each with
+    /// the trust-exploit detection rate measured there.
+    pub fn cells(&self) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        if let Some((sensitivity, rate)) = self.eer_point {
+            let key = format!("{}@eer", self.product);
+            cells.push(Cell::new(&key, "measure.eer_sensitivity", sensitivity));
+            cells.push(Cell::new(&key, "measure.eer_rate", rate));
+            if let Some(trust) = self.trust_detection_at_eer {
+                cells.push(Cell::new(&key, "measure.trust_detection", trust));
+            }
+        }
+        if let Some(point) = &self.low_fn_point {
+            let key = format!("{}@low-fn", self.product);
+            cells.push(Cell::new(&key, "measure.operating_sensitivity", point.sensitivity));
+            cells.push(Cell::new(&key, "measure.fp_ratio", point.false_positive_ratio));
+            cells.push(Cell::new(&key, "measure.fn_ratio", point.false_negative_ratio));
+            if let Some(trust) = self.trust_detection_at_low_fn {
+                cells.push(Cell::new(&key, "measure.trust_detection", trust));
+            }
+        }
+        cells
+    }
+}
+
+/// The X4 sweep: nine steps, operating point chosen within `fp_budget`.
+pub fn operating_point_plan(fp_budget: f64) -> SweepPlan {
+    SweepPlan::with_steps(9).with_fp_budget(fp_budget)
+}
+
 /// Run X4 for one product on the cluster feed. The nine-step sweep fans
 /// out on `exec`; the two follow-up runs at the chosen points are serial.
 pub fn operating_point_experiment(
@@ -188,7 +306,7 @@ pub fn operating_point_experiment(
 ) -> OperatingPointReport {
     let fc = operating_point_feed_config(seed);
     let feed = TestFeed::realtime_cluster(&fc);
-    let plan = SweepPlan::with_steps(9).with_fp_budget(fp_budget);
+    let plan = operating_point_plan(fp_budget);
     let curve = sweep(product, &feed, &plan, exec);
     let eer_point = curve.equal_error_rate();
     let low_fn_point = curve.operating_point(&plan);
@@ -333,41 +451,100 @@ pub struct FaultMatrixRow {
     pub replayed: u64,
 }
 
-/// The X3 site-profile feed parameters. Exported so run provenance can
-/// state the exact feed the mismatch experiment ran on.
+impl FaultMatrixRow {
+    /// Store cells: the rubric scores, noted with the relation, and measures.
+    pub fn cells(&self) -> Vec<Cell> {
+        let key = format!("{}@{}", self.product, self.scenario);
+        let note = format!("relation {}", self.relation);
+        let discrete = [
+            "DetectionRetentionUnderFailure",
+            "AlertLossRatio",
+            "MeanTimeToReroute",
+            "RecoveryCompleteness",
+        ];
+        let mut cells: Vec<Cell> = discrete
+            .iter()
+            .zip(self.scores)
+            .map(|(metric, score)| Cell::new(&key, *metric, f64::from(score)).noted(&note))
+            .collect();
+        cells.extend(survivability_cells(&key, &self.survivability));
+        cells.push(Cell::new(&key, "measure.rerouted", self.rerouted as f64));
+        cells.push(Cell::new(&key, "measure.lost_alerts", self.lost_alerts as f64));
+        cells.push(Cell::new(&key, "measure.replayed", self.replayed as f64));
+        cells
+    }
+}
+
+/// The four survivability measures as store cells under `key`.
+pub(crate) fn survivability_cells(key: &str, s: &Survivability) -> [Cell; 4] {
+    [
+        Cell::new(key, "measure.detection_retention", s.detection_retention),
+        Cell::new(key, "measure.alert_loss_ratio", s.alert_loss_ratio),
+        Cell::new(key, "measure.mean_reroute_us", s.mean_reroute.as_micros_f64()),
+        Cell::new(key, "measure.recovery_completeness", s.recovery_completeness),
+    ]
+}
+
+/// One mechanism row of the §2.1 taxonomy ablation: the confusion and
+/// throughput measures for one engine suite run over the standard feed.
+#[derive(Debug, Clone, Serialize)]
+pub struct HybridTaxonomyRow {
+    /// The mechanism label (`signature-only`, `anomaly-only`, …) — the
+    /// product key the row's records are stored under.
+    pub mechanism: String,
+    /// The fixed operating sensitivity the suite ran at.
+    pub sensitivity: f64,
+    /// Detection rate |D∩A|/|A|.
+    pub detection_rate: f64,
+    /// False-positive ratio |D−A|/|T|.
+    pub fp_ratio: f64,
+    /// Zero-loss throughput, packets per second.
+    pub zero_loss_pps: f64,
+    /// Raw alert count, noted on the detection-rate record.
+    pub alerts: usize,
+}
+
+impl HybridTaxonomyRow {
+    /// Store cells, keyed by mechanism.
+    pub fn cells(&self) -> Vec<Cell> {
+        let key = &self.mechanism;
+        vec![
+            Cell::new(key, "measure.detection_rate", self.detection_rate)
+                .noted(format!("{} alerts", self.alerts)),
+            Cell::new(key, "measure.fp_ratio", self.fp_ratio),
+            Cell::new(key, "measure.zero_loss_pps", self.zero_loss_pps),
+            Cell::new(key, "measure.operating_sensitivity", self.sensitivity),
+        ]
+    }
+}
+
+/// The cluster feed X3, X4 and X7 run on: 25 sessions/s, 25 s of
+/// training, a 50 s test span (the X7 scenario timings in
+/// [`fault_scenarios`] assume it), and `campaign_intensity` attacks.
+fn cluster_feed_config(seed: u64, campaign_intensity: u32) -> FeedConfig {
+    FeedConfig::builder()
+        .session_rate(25.0)
+        .training_span(SimDuration::from_secs(25))
+        .test_span(SimDuration::from_secs(50))
+        .campaign_intensity(campaign_intensity)
+        .seed(seed)
+        .build()
+}
+
+/// The X3 site-profile feed. Exported, like the other experiment setups
+/// here, so run provenance states the exact setup the experiment read.
 pub fn site_profile_feed_config(seed: u64) -> FeedConfig {
-    FeedConfig::builder()
-        .session_rate(25.0)
-        .training_span(SimDuration::from_secs(25))
-        .test_span(SimDuration::from_secs(50))
-        .campaign_intensity(1)
-        .seed(seed)
-        .build()
+    cluster_feed_config(seed, 1)
 }
 
-/// The X4 operating-point feed parameters. Exported so run provenance can
-/// state the exact feed the sweep ran on.
+/// The X4 operating-point feed.
 pub fn operating_point_feed_config(seed: u64) -> FeedConfig {
-    FeedConfig::builder()
-        .session_rate(25.0)
-        .training_span(SimDuration::from_secs(25))
-        .test_span(SimDuration::from_secs(50))
-        .campaign_intensity(2)
-        .seed(seed)
-        .build()
+    cluster_feed_config(seed, 2)
 }
 
-/// The standard X7 feed: the scenario timings in [`fault_scenarios`]
-/// assume this 50 s test span. Exported so run provenance can state the
-/// exact feed the matrix ran on.
+/// The X7 fault-matrix feed.
 pub fn fault_matrix_feed_config(seed: u64) -> FeedConfig {
-    FeedConfig::builder()
-        .session_rate(25.0)
-        .training_span(SimDuration::from_secs(25))
-        .test_span(SimDuration::from_secs(50))
-        .campaign_intensity(1)
-        .seed(seed)
-        .build()
+    cluster_feed_config(seed, 1)
 }
 
 /// Run the X7 component × fault-type grid: every product crossed with

@@ -21,8 +21,10 @@ use std::collections::BTreeMap;
 
 use crate::confusion::{ConfusionCounts, TransactionLedger};
 use crate::evidence::{EvidencePolicy, EvidenceStore};
+use crate::experiments::survivability_cells;
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::measure::{self, EnvironmentNeeds};
+use crate::provenance::Cell;
 use crate::sweep::{measure_sweep_point, ErrorCurve, SweepPlan};
 use crate::throughput::{throughput_search_with, ThroughputReport};
 use crate::timing::{timing_report, TimingReport};
@@ -763,6 +765,39 @@ pub struct ProductEvaluation {
     pub state_bytes: usize,
     /// Measured survivability, when the request carried a fault plan.
     pub survivability: Option<Survivability>,
+}
+
+impl ProductEvaluation {
+    /// Store cells, keyed by product name: every discrete score with its
+    /// note, then the measurements (lethal dose, survivability if measured).
+    pub fn cells(&self) -> Vec<Cell> {
+        let product = self.scorecard.system.as_str();
+        let mut cells: Vec<Cell> = self
+            .scorecard
+            .iter()
+            .map(|(id, score)| Cell {
+                note: self.scorecard.note(id).map(str::to_owned),
+                ..Cell::new(product, format!("{id:?}"), f64::from(score.value()))
+            })
+            .collect();
+        let mut measure = |metric: &str, value: f64| cells.push(Cell::new(product, metric, value));
+        measure("measure.operating_sensitivity", self.operating_sensitivity);
+        measure("measure.fp_ratio", self.confusion.false_positive_ratio());
+        measure("measure.fn_ratio", self.confusion.false_negative_ratio());
+        measure("measure.detection_rate", self.confusion.detection_rate());
+        measure("measure.zero_loss_pps", self.throughput.zero_loss_pps);
+        if let Some(pps) = self.throughput.lethal_dose_pps {
+            measure("measure.lethal_dose_pps", pps);
+        }
+        measure("measure.induced_latency_ms", self.timing.induced_latency_mean.as_millis_f64());
+        measure("measure.timeliness_ms", self.timing.timeliness_mean.as_millis_f64());
+        measure("measure.host_impact", self.host_impact);
+        measure("measure.state_bytes", self.state_bytes as f64);
+        if let Some(s) = &self.survivability {
+            cells.extend(survivability_cells(product, s));
+        }
+        cells
+    }
 }
 
 #[cfg(test)]

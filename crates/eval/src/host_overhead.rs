@@ -9,12 +9,15 @@
 //! share of capacity the logging consumes, then optionally stacks a host
 //! agent on top.
 
+use crate::provenance::Cell;
 use idse_sim::{AuditLevel, HostCpu, RngStream, SimDuration, SimTime};
 use serde::Serialize;
 
 /// One audit level's measured overhead.
 #[derive(Debug, Clone, Serialize)]
 pub struct OverheadRow {
+    /// Production load as a fraction of host capacity.
+    pub load: f64,
     /// Audit level name.
     pub level: &'static str,
     /// Measured fraction of host capacity consumed by audit logging.
@@ -24,6 +27,18 @@ pub struct OverheadRow {
     /// Production work completed per second (events/s) — shows the
     /// capacity actually lost to monitoring.
     pub production_events_per_sec: f64,
+}
+
+impl OverheadRow {
+    /// Store cells, keyed `{level}@load{load:.2}`.
+    pub fn cells(&self) -> Vec<Cell> {
+        let key = format!("{}@load{:.2}", self.level, self.load);
+        vec![
+            Cell::new(&key, "measure.audit_share", self.audit_share),
+            Cell::new(&key, "measure.agent_share", self.with_agent_share),
+            Cell::new(&key, "measure.production_events_per_sec", self.production_events_per_sec),
+        ]
+    }
 }
 
 /// Run X1: a host at ~`load` utilization for `span`, under each audit
@@ -63,6 +78,7 @@ pub fn host_overhead_experiment(
         let (audit_share, production_rate) = run(false);
         let (with_agent_share, _) = run(true);
         rows.push(OverheadRow {
+            load,
             level: level.name(),
             audit_share,
             with_agent_share,

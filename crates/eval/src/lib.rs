@@ -55,7 +55,9 @@ pub mod vendor;
 pub use confusion::{ConfusionCounts, StreamLedger, TransactionLedger};
 pub use feeds::{FeedConfig, FeedConfigBuilder, TestFeed};
 pub use harness::{EvaluationRequest, ProductEvaluation};
-pub use provenance::{record_evaluation, record_fault_matrix, Provenance, StoreSpec};
+pub use provenance::{
+    record_evaluation, record_rows, Cell, Provenance, SensitivityPolicy, StoreSpec,
+};
 pub use service::{JobKind, JobSpec, SpecError, StoreRequest, STANDARD_SEED};
 pub use streaming::{ShardOutcome, StreamEvaluation, StreamScorecard};
 pub use sweep::SweepPlan;

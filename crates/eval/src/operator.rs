@@ -18,6 +18,7 @@
 //! below the machine-optimal one found by the Figure 4 sweep.
 
 use crate::confusion::{ConfusionCounts, TransactionLedger};
+use crate::provenance::Cell;
 use idse_ids::alert::Alert;
 use idse_ids::Severity;
 use serde::Serialize;
@@ -25,6 +26,8 @@ use serde::Serialize;
 /// An operator's triage capacity.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct OperatorModel {
+    /// The operator's label, which keys its store cells.
+    pub name: &'static str,
     /// Alerts the operator can seriously investigate per hour.
     pub triage_per_hour: f64,
     /// Alerts below this severity are dropped first under pressure
@@ -36,12 +39,20 @@ impl OperatorModel {
     /// A single watch-floor operator, 2002 tooling: roughly one serious
     /// investigation every 90 seconds, sustained.
     pub fn single_watchstander() -> Self {
-        Self { triage_per_hour: 40.0, floor_under_pressure: Severity::Warning }
+        Self {
+            name: "single watchstander (40 triage/hour)",
+            triage_per_hour: 40.0,
+            floor_under_pressure: Severity::Warning,
+        }
     }
 
     /// A staffed security operations floor.
     pub fn staffed_floor() -> Self {
-        Self { triage_per_hour: 200.0, floor_under_pressure: Severity::Info }
+        Self {
+            name: "staffed floor (200 triage/hour)",
+            triage_per_hour: 200.0,
+            floor_under_pressure: Severity::Info,
+        }
     }
 
     /// Which alerts actually get triaged over a window of `hours`.
@@ -89,6 +100,8 @@ impl OperatorModel {
 /// detection at a sensitivity setting.
 #[derive(Debug, Clone, Serialize)]
 pub struct FatigueRow {
+    /// The operator model's name.
+    pub operator: &'static str,
     /// Sensitivity setting.
     pub sensitivity: f64,
     /// Alerts raised by the IDS.
@@ -99,6 +112,19 @@ pub struct FatigueRow {
     pub machine_detection: f64,
     /// Operator-effective detection rate (triaged alerts only).
     pub effective_detection: f64,
+}
+
+impl FatigueRow {
+    /// Store cells, keyed `{operator}@s{sensitivity:.2}`.
+    pub fn cells(&self) -> Vec<Cell> {
+        let key = format!("{}@s{:.2}", self.operator, self.sensitivity);
+        vec![
+            Cell::new(&key, "measure.alerts", self.alerts as f64),
+            Cell::new(&key, "measure.triaged", self.triaged as f64),
+            Cell::new(&key, "measure.detection_rate", self.machine_detection),
+            Cell::new(&key, "measure.effective_detection", self.effective_detection),
+        ]
+    }
 }
 
 /// Sweep a product and compare machine vs operator-effective detection.
@@ -133,6 +159,7 @@ pub fn fatigue_sweep(
         let machine = ledger.score(&out.alerts);
         let effective = operator.effective_confusion(&ledger, &out.alerts, hours);
         rows.push(FatigueRow {
+            operator: operator.name,
             sensitivity: s,
             alerts: out.alerts.len(),
             triaged: operator.triaged_indices(&out.alerts, hours).len(),
@@ -152,6 +179,10 @@ mod tests {
     use idse_net::FlowKey;
     use idse_sim::SimTime;
     use std::net::Ipv4Addr;
+
+    fn operator(triage_per_hour: f64, floor_under_pressure: Severity) -> OperatorModel {
+        OperatorModel { name: "test", triage_per_hour, floor_under_pressure }
+    }
 
     fn alert(trigger: usize, severity: Severity, ms: u64) -> Alert {
         Alert {
@@ -175,14 +206,14 @@ mod tests {
 
     #[test]
     fn under_budget_everything_is_triaged() {
-        let op = OperatorModel { triage_per_hour: 100.0, floor_under_pressure: Severity::Info };
+        let op = operator(100.0, Severity::Info);
         let alerts: Vec<Alert> = (0..10).map(|i| alert(i, Severity::Info, i as u64)).collect();
         assert_eq!(op.triaged_indices(&alerts, 1.0).len(), 10);
     }
 
     #[test]
     fn over_budget_triage_prefers_severity() {
-        let op = OperatorModel { triage_per_hour: 2.0, floor_under_pressure: Severity::Info };
+        let op = operator(2.0, Severity::Info);
         let alerts = vec![
             alert(0, Severity::Info, 0),
             alert(1, Severity::Critical, 10),
@@ -195,7 +226,7 @@ mod tests {
 
     #[test]
     fn pressure_floor_drops_low_tiers_entirely() {
-        let op = OperatorModel { triage_per_hour: 3.0, floor_under_pressure: Severity::Warning };
+        let op = operator(3.0, Severity::Warning);
         let alerts = vec![
             alert(0, Severity::Info, 0),
             alert(1, Severity::Info, 5),
@@ -209,7 +240,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_time_within_a_tier() {
-        let op = OperatorModel { triage_per_hour: 2.0, floor_under_pressure: Severity::Info };
+        let op = operator(2.0, Severity::Info);
         let alerts = vec![
             alert(0, Severity::High, 30),
             alert(1, Severity::High, 10),

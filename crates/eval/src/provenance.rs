@@ -1,11 +1,15 @@
-//! Shared run provenance and the bridge into `idse-store`.
+//! Shared run provenance and the one recording path into `idse-store`.
 //!
 //! Two consumers need the same provenance document: the `evaluate --json`
 //! report manifest and the persisted run header in the store. This module
 //! holds the one [`Provenance`] struct both serialize, so the two can
-//! never drift, plus the recording glue ([`record_evaluation`],
-//! [`record_fault_matrix`], [`record_hybrid_taxonomy`]) that turns
-//! harness results into store runs.
+//! never drift.
+//!
+//! Every experiment records the same way: each row type lays out its own
+//! [`Cell`]s next to its definition (`ProductEvaluation::cells`,
+//! `FaultMatrixRow::cells`, …), and [`record_rows`] commits a context, a
+//! [`Provenance`] and those cells as one run. [`record_evaluation`] is the
+//! evaluation's thin caller of it.
 //!
 //! Everything here follows the harness's determinism contract: the worker
 //! count is deliberately *absent* (results are byte-identical at any
@@ -13,7 +17,6 @@
 //! appears, and timestamps only ride along as an opaque caller-supplied
 //! stamp that is excluded from run identity.
 
-use crate::experiments::{FaultMatrixRow, FaultScenario};
 use crate::feeds::FeedConfig;
 use crate::harness::{EvaluationRequest, ProductEvaluation};
 use crate::sweep::SweepPlan;
@@ -105,15 +108,24 @@ impl SensitivityPolicy {
         }
     }
 
-    /// A fixed operating sensitivity (the X7 fault matrix).
+    /// A fixed operating sensitivity.
     pub fn fixed(sensitivity: f64) -> Self {
         SensitivityPolicy {
-            rule: "fixed operating sensitivity".to_owned(),
+            fixed_sensitivity: Some(sensitivity),
+            ..SensitivityPolicy::not_applicable("fixed operating sensitivity")
+        }
+    }
+
+    /// No sensitivity in play (experiments that run no detector); `rule`
+    /// says why.
+    pub fn not_applicable(rule: &str) -> Self {
+        SensitivityPolicy {
+            rule: rule.to_owned(),
             fp_budget: None,
             sweep_steps: None,
             sweep_low: None,
             sweep_high: None,
-            fixed_sensitivity: Some(sensitivity),
+            fixed_sensitivity: None,
         }
     }
 }
@@ -170,20 +182,33 @@ pub struct Provenance {
 }
 
 impl Provenance {
-    /// Capture an [`EvaluationRequest`]'s reproducibility surface.
-    pub fn for_request(request: &EvaluationRequest) -> Self {
+    /// The manifest of a run over `feed` (whose seed is the master seed)
+    /// under `policy`, with no fault plans and no annotations.
+    pub fn new(feed: &FeedConfig, policy: SensitivityPolicy) -> Self {
         Provenance {
             crate_version: env!("CARGO_PKG_VERSION"),
-            seed: request.feed.seed,
+            seed: feed.seed,
             profile: None,
             weighting: None,
             git_rev: None,
-            feed: FeedProvenance::of(&request.feed),
-            sensitivity_policy: SensitivityPolicy::budgeted(&request.sweep),
-            fault_plans: request.fault_plan.iter().map(FaultPlanProvenance::of).collect(),
+            feed: FeedProvenance::of(feed),
+            sensitivity_policy: policy,
+            fault_plans: Vec::new(),
             jobs_independence: JOBS_INDEPENDENCE,
             timebase: TIMEBASE,
         }
+    }
+
+    /// Capture an [`EvaluationRequest`]'s reproducibility surface.
+    pub fn for_request(request: &EvaluationRequest) -> Self {
+        Provenance::new(&request.feed, SensitivityPolicy::budgeted(&request.sweep))
+            .with_fault_plans(request.fault_plan.iter())
+    }
+
+    /// This manifest with every fault plan in play listed.
+    pub fn with_fault_plans<'a>(mut self, plans: impl IntoIterator<Item = &'a FaultPlan>) -> Self {
+        self.fault_plans = plans.into_iter().map(FaultPlanProvenance::of).collect();
+        self
     }
 
     /// This manifest with a site-profile name attached.
@@ -299,382 +324,74 @@ fn telemetry_annotation(telemetry: &Telemetry, products: &[&str]) -> Option<Valu
     ]))
 }
 
+/// One stored measurement: the cell key the record is filed under (a
+/// product name, or `product@variant` for an experiment cell), a registry
+/// metric key, the value, and an optional note. Each row type lays out its
+/// own cells next to its definition; [`record_rows`] commits them.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The product key of the record.
+    pub key: String,
+    /// The registry metric key (a catalog id or a `measure.*` series).
+    pub metric: String,
+    /// The measured or scored value.
+    pub value: f64,
+    /// A free-form note stored with the record.
+    pub note: Option<String>,
+}
+
+impl Cell {
+    /// A cell without a note.
+    pub fn new(key: impl Into<String>, metric: impl Into<String>, value: f64) -> Self {
+        Cell { key: key.into(), metric: metric.into(), value, note: None }
+    }
+
+    /// This cell with a note attached.
+    pub fn noted(mut self, note: impl Into<String>) -> Self {
+        self.note = Some(note.into());
+        self
+    }
+}
+
+/// Commit one run to the store named by `spec`: `provenance` (annotated
+/// with the spec's profile, weighting and git revision) under `context`,
+/// every cell as one record, and an optional telemetry annotation. The
+/// one place a run is drafted and committed — identical inputs commit to
+/// the identical run id, so re-recording is a no-op.
+pub fn record_rows(
+    spec: &StoreSpec,
+    context: &str,
+    provenance: Provenance,
+    telemetry: Option<Value>,
+    cells: impl IntoIterator<Item = Cell>,
+) -> Result<StoredRun, StoreError> {
+    let provenance = spec.annotate(provenance);
+    let mut draft = RunDraft::new(context, provenance.to_value()).with_stamp(spec.stamp.clone());
+    if let Some(annotation) = telemetry {
+        draft = draft.with_telemetry(annotation);
+    }
+    for cell in cells {
+        match cell.note {
+            Some(note) => draft.record_noted(&cell.key, &cell.metric, cell.value, note)?,
+            None => draft.record(&cell.key, &cell.metric, cell.value)?,
+        }
+    }
+    RunStore::open(&spec.dir)?.commit(draft)
+}
+
 /// Record one full evaluation (one record per product per metric: all 56
 /// discrete scores with their notes, plus the continuous measurements)
-/// into the store named by `spec`. Returns the committed run — identical
-/// inputs commit to the identical run id, so re-recording is a no-op.
+/// into the store named by `spec`, with the request's telemetry folded
+/// into the header annotation.
 pub fn record_evaluation(
     spec: &StoreSpec,
     request: &EvaluationRequest,
     evals: &[ProductEvaluation],
 ) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance::for_request(request));
-    let mut draft = RunDraft::new("evaluate", provenance.to_value()).with_stamp(spec.stamp.clone());
     let names: Vec<&str> = evals.iter().map(|e| e.scorecard.system.as_str()).collect();
-    if let Some(annotation) = telemetry_annotation(&request.telemetry, &names) {
-        draft = draft.with_telemetry(annotation);
-    }
-    for eval in evals {
-        let product = eval.scorecard.system.as_str();
-        for (id, score) in eval.scorecard.iter() {
-            let key = format!("{id:?}");
-            match eval.scorecard.note(id) {
-                Some(note) => draft.record_noted(product, &key, f64::from(score.value()), note)?,
-                None => draft.record(product, &key, f64::from(score.value()))?,
-            }
-        }
-        draft.record(product, "measure.operating_sensitivity", eval.operating_sensitivity)?;
-        draft.record(product, "measure.fp_ratio", eval.confusion.false_positive_ratio())?;
-        draft.record(product, "measure.fn_ratio", eval.confusion.false_negative_ratio())?;
-        draft.record(product, "measure.detection_rate", eval.confusion.detection_rate())?;
-        draft.record(product, "measure.zero_loss_pps", eval.throughput.zero_loss_pps)?;
-        if let Some(pps) = eval.throughput.lethal_dose_pps {
-            draft.record(product, "measure.lethal_dose_pps", pps)?;
-        }
-        draft.record(
-            product,
-            "measure.induced_latency_ms",
-            eval.timing.induced_latency_mean.as_millis_f64(),
-        )?;
-        draft.record(
-            product,
-            "measure.timeliness_ms",
-            eval.timing.timeliness_mean.as_millis_f64(),
-        )?;
-        draft.record(product, "measure.host_impact", eval.host_impact)?;
-        draft.record(product, "measure.state_bytes", eval.state_bytes as f64)?;
-        if let Some(s) = &eval.survivability {
-            draft.record(product, "measure.detection_retention", s.detection_retention)?;
-            draft.record(product, "measure.alert_loss_ratio", s.alert_loss_ratio)?;
-            draft.record(product, "measure.mean_reroute_us", s.mean_reroute.as_micros_f64())?;
-            draft.record(product, "measure.recovery_completeness", s.recovery_completeness)?;
-        }
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
-}
-
-/// Record an X7 fault-matrix run: one product per matrix cell, keyed
-/// `product@scenario`, carrying the four survivability rubric scores and
-/// the raw fault measurements. The provenance lists every scenario's
-/// fault-plan hash.
-pub fn record_fault_matrix(
-    spec: &StoreSpec,
-    scenarios: &[FaultScenario],
-    rows: &[FaultMatrixRow],
-    sensitivity: f64,
-    seed: u64,
-) -> Result<StoredRun, StoreError> {
-    let feed = crate::experiments::fault_matrix_feed_config(seed);
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&feed),
-        sensitivity_policy: SensitivityPolicy::fixed(sensitivity),
-        fault_plans: scenarios.iter().map(|s| FaultPlanProvenance::of(&s.plan)).collect(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("fault-matrix", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for row in rows {
-        let cell = format!("{}@{}", row.product, row.scenario);
-        let note = format!("relation {}", row.relation);
-        let discrete = [
-            "DetectionRetentionUnderFailure",
-            "AlertLossRatio",
-            "MeanTimeToReroute",
-            "RecoveryCompleteness",
-        ];
-        for (key, score) in discrete.iter().zip(row.scores) {
-            draft.record_noted(&cell, key, f64::from(score), note.clone())?;
-        }
-        let s = &row.survivability;
-        draft.record(&cell, "measure.detection_retention", s.detection_retention)?;
-        draft.record(&cell, "measure.alert_loss_ratio", s.alert_loss_ratio)?;
-        draft.record(&cell, "measure.mean_reroute_us", s.mean_reroute.as_micros_f64())?;
-        draft.record(&cell, "measure.recovery_completeness", s.recovery_completeness)?;
-        draft.record(&cell, "measure.rerouted", row.rerouted as f64)?;
-        draft.record(&cell, "measure.lost_alerts", row.lost_alerts as f64)?;
-        draft.record(&cell, "measure.replayed", row.replayed as f64)?;
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
-}
-
-/// One mechanism row of the §2.1 taxonomy ablation: the confusion and
-/// throughput measures for one engine suite run over the standard feed.
-#[derive(Debug, Clone, Serialize)]
-pub struct HybridTaxonomyRow {
-    /// The mechanism label (`signature-only`, `anomaly-only`, …) — the
-    /// product key the row's records are stored under.
-    pub mechanism: String,
-    /// Detection rate |D∩A|/|A|.
-    pub detection_rate: f64,
-    /// False-positive ratio |D−A|/|T|.
-    pub fp_ratio: f64,
-    /// Zero-loss throughput, packets per second.
-    pub zero_loss_pps: f64,
-    /// Raw alert count, noted on the detection-rate record.
-    pub alerts: usize,
-}
-
-/// Record a §2.1 taxonomy-ablation run: one product key per detection
-/// mechanism, carrying its confusion and throughput measures at the fixed
-/// operating sensitivity. Same feed, same seed, three engine suites — so
-/// `store history measure.zero_loss_pps --product "hybrid (parallel)"`
-/// tracks the hybrid's inspection cost across commits.
-pub fn record_hybrid_taxonomy(
-    spec: &StoreSpec,
-    request: &EvaluationRequest,
-    sensitivity: f64,
-    rows: &[HybridTaxonomyRow],
-) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed: request.feed.seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&request.feed),
-        sensitivity_policy: SensitivityPolicy::fixed(sensitivity),
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("hybrid-taxonomy", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for row in rows {
-        let product = row.mechanism.as_str();
-        draft.record_noted(
-            product,
-            "measure.detection_rate",
-            row.detection_rate,
-            format!("{} alerts", row.alerts),
-        )?;
-        draft.record(product, "measure.fp_ratio", row.fp_ratio)?;
-        draft.record(product, "measure.zero_loss_pps", row.zero_loss_pps)?;
-        draft.record(product, "measure.operating_sensitivity", sensitivity)?;
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
-}
-
-/// Record an X1 host-overhead run: one product key per audit level per
-/// production load (`{level}@load{load}`), carrying the measured CPU
-/// shares and the surviving production rate. The experiment drives a
-/// synthetic host event stream, not a traffic feed, so only the seed in
-/// the feed provenance is meaningful.
-pub fn record_host_overhead(
-    spec: &StoreSpec,
-    seed: u64,
-    sections: &[(f64, Vec<crate::host_overhead::OverheadRow>)],
-) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&FeedConfig::builder().seed(seed).build()),
-        sensitivity_policy: SensitivityPolicy {
-            rule: "not applicable (synthetic host load, no detection sweep)".to_owned(),
-            fp_budget: None,
-            sweep_steps: None,
-            sweep_low: None,
-            sweep_high: None,
-            fixed_sensitivity: None,
-        },
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("host-overhead", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for (load, rows) in sections {
-        for row in rows {
-            let cell = format!("{}@load{load:.2}", row.level);
-            draft.record(&cell, "measure.audit_share", row.audit_share)?;
-            draft.record(&cell, "measure.agent_share", row.with_agent_share)?;
-            draft.record(
-                &cell,
-                "measure.production_events_per_sec",
-                row.production_events_per_sec,
-            )?;
-        }
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
-}
-
-/// Record an X4 operating-point run: per product, an `@eer` cell (the
-/// equal-error-rate crossing, when it exists) and an `@low-fn` cell (the
-/// §3.3 distributed operating point within the FP budget), each with the
-/// trust-exploit detection rate measured at that setting.
-pub fn record_operating_point(
-    spec: &StoreSpec,
-    seed: u64,
-    fp_budget: f64,
-    reports: &[crate::experiments::OperatingPointReport],
-) -> Result<StoredRun, StoreError> {
-    let plan = SweepPlan::with_steps(9).with_fp_budget(fp_budget);
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&crate::experiments::operating_point_feed_config(seed)),
-        sensitivity_policy: SensitivityPolicy::budgeted(&plan),
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("operating-point", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for report in reports {
-        if let Some((sensitivity, rate)) = report.eer_point {
-            let cell = format!("{}@eer", report.product);
-            draft.record(&cell, "measure.eer_sensitivity", sensitivity)?;
-            draft.record(&cell, "measure.eer_rate", rate)?;
-            if let Some(trust) = report.trust_detection_at_eer {
-                draft.record(&cell, "measure.trust_detection", trust)?;
-            }
-        }
-        if let Some(point) = &report.low_fn_point {
-            let cell = format!("{}@low-fn", report.product);
-            draft.record(&cell, "measure.operating_sensitivity", point.sensitivity)?;
-            draft.record(&cell, "measure.fp_ratio", point.false_positive_ratio)?;
-            draft.record(&cell, "measure.fn_ratio", point.false_negative_ratio)?;
-            if let Some(trust) = report.trust_detection_at_low_fn {
-                draft.record(&cell, "measure.trust_detection", trust)?;
-            }
-        }
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
-}
-
-/// Record an operator-fatigue run: one cell per operator model per swept
-/// sensitivity (`{operator}@s{sensitivity}`), carrying alert volume,
-/// triage throughput, and the machine vs human-constrained detection
-/// rates whose divergence is the experiment's point.
-pub fn record_operator_fatigue(
-    spec: &StoreSpec,
-    request: &EvaluationRequest,
-    sections: &[(String, Vec<crate::operator::FatigueRow>)],
-) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance::for_request(request));
-    let mut draft =
-        RunDraft::new("operator-fatigue", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for (operator, rows) in sections {
-        for row in rows {
-            let cell = format!("{operator}@s{:.2}", row.sensitivity);
-            draft.record(&cell, "measure.alerts", row.alerts as f64)?;
-            draft.record(&cell, "measure.triaged", row.triaged as f64)?;
-            draft.record(&cell, "measure.detection_rate", row.machine_detection)?;
-            draft.record(&cell, "measure.effective_detection", row.effective_detection)?;
-        }
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
-}
-
-/// Content statistics for one payload load in the X2 realism experiment.
-#[derive(Debug, Clone, Serialize)]
-pub struct PayloadStatsRow {
-    /// Load label (`realistic`, `random bytes`) — stored under the
-    /// product key `payload:{label}`.
-    pub load: String,
-    /// Shannon entropy over payload bytes, bits per byte.
-    pub byte_entropy: f64,
-    /// Fraction of printable ASCII bytes.
-    pub printable_fraction: f64,
-    /// The realism score the generator targets.
-    pub realism_score: f64,
-}
-
-/// Record an X2 payload-realism run: content statistics per load
-/// (`payload:{label}` cells) plus per-product `@realistic` / `@random`
-/// cells carrying alert volume and inspection cost under each load.
-pub fn record_payload_realism(
-    spec: &StoreSpec,
-    seed: u64,
-    sensitivity: f64,
-    stats: &[PayloadStatsRow],
-    rows: &[crate::experiments::RealismRow],
-) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        // X2 generates its two loads directly (identical timing and
-        // sizes, different payload content); the session rate and span
-        // here mirror that generator setup.
-        feed: FeedProvenance::of(
-            &FeedConfig::builder()
-                .session_rate(25.0)
-                .training_span(idse_sim::SimDuration::from_secs(25))
-                .test_span(idse_sim::SimDuration::from_secs(25))
-                .seed(seed)
-                .build(),
-        ),
-        sensitivity_policy: SensitivityPolicy::fixed(sensitivity),
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("payload-realism", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for stat in stats {
-        let cell = format!("payload:{}", stat.load);
-        draft.record(&cell, "measure.byte_entropy", stat.byte_entropy)?;
-        draft.record(&cell, "measure.printable_fraction", stat.printable_fraction)?;
-        draft.record(&cell, "measure.realism_score", stat.realism_score)?;
-    }
-    for row in rows {
-        let realistic = format!("{}@realistic", row.product);
-        draft.record(&realistic, "measure.alerts_per_kpkt", row.alerts_per_kpkt_realistic)?;
-        draft.record(&realistic, "measure.ops_per_pkt", row.cost_realistic)?;
-        let random = format!("{}@random", row.product);
-        draft.record(&random, "measure.alerts_per_kpkt", row.alerts_per_kpkt_random)?;
-        draft.record(&random, "measure.ops_per_pkt", row.cost_random)?;
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
-}
-
-/// Record an X3 site-profile-mismatch run: per product, `@matched`
-/// (trained on cluster traffic) and `@mismatched` (trained on e-commerce
-/// traffic) cells, each carrying the false-positive ratio and detection
-/// rate on the identical cluster test feed.
-pub fn record_site_profile(
-    spec: &StoreSpec,
-    seed: u64,
-    sensitivity: f64,
-    rows: &[crate::experiments::SiteProfileRow],
-) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&crate::experiments::site_profile_feed_config(seed)),
-        sensitivity_policy: SensitivityPolicy::fixed(sensitivity),
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("site-profile", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for row in rows {
-        let matched = format!("{}@matched", row.product);
-        draft.record(&matched, "measure.fp_ratio", row.fp_matched)?;
-        draft.record(&matched, "measure.detection_rate", row.detection_matched)?;
-        let mismatched = format!("{}@mismatched", row.product);
-        draft.record(&mismatched, "measure.fp_ratio", row.fp_mismatched)?;
-        draft.record(&mismatched, "measure.detection_rate", row.detection_mismatched)?;
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
+    let telemetry = telemetry_annotation(&request.telemetry, &names);
+    let cells = evals.iter().flat_map(ProductEvaluation::cells);
+    record_rows(spec, "evaluate", Provenance::for_request(request), telemetry, cells)
 }
 
 #[cfg(test)]
@@ -748,11 +465,13 @@ mod tests {
 
     #[test]
     fn hybrid_taxonomy_records_one_product_per_mechanism() {
+        use crate::experiments::HybridTaxonomyRow;
         let spec = spec("taxonomy");
         let request = quick_request();
-        let rows = vec![
+        let rows = [
             HybridTaxonomyRow {
                 mechanism: "signature-only".to_owned(),
+                sensitivity: 0.8,
                 detection_rate: 0.62,
                 fp_ratio: 0.01,
                 zero_loss_pps: 9000.0,
@@ -760,49 +479,68 @@ mod tests {
             },
             HybridTaxonomyRow {
                 mechanism: "hybrid (parallel)".to_owned(),
+                sensitivity: 0.8,
                 detection_rate: 0.91,
                 fp_ratio: 0.03,
                 zero_loss_pps: 5200.0,
                 alerts: 77,
             },
         ];
-        let run = record_hybrid_taxonomy(&spec, &request, 0.8, &rows).expect("taxonomy records");
+        let record = || {
+            let provenance = Provenance::new(&request.feed, SensitivityPolicy::fixed(0.8));
+            let cells = rows.iter().flat_map(HybridTaxonomyRow::cells);
+            record_rows(&spec, "hybrid-taxonomy", provenance, None, cells)
+        };
+        let run = record().expect("taxonomy records");
         assert_eq!(run.header.context, "hybrid-taxonomy");
+        assert_eq!(run.header.run_id, "re03747852015de39", "the recorded bytes moved");
         assert_eq!(run.header.products, vec!["hybrid (parallel)", "signature-only"]);
         assert_eq!(run.header.records, 8, "four measures per mechanism");
-        let rate = run.get("signature-only", "measure.detection_rate").expect("recorded");
-        assert_eq!(rate.note.as_deref(), Some("41 alerts"));
+        let noted = &rows[0].cells()[0];
+        let stored = run.get(&noted.key, &noted.metric).expect("recorded");
+        assert_eq!(stored.note.as_deref(), Some("41 alerts"));
         assert_eq!(
             run.header.provenance.get("seed").and_then(Value::as_u64),
             Some(42),
             "feed provenance rides along"
         );
-        let again = record_hybrid_taxonomy(&spec, &request, 0.8, &rows).expect("re-record");
+        let again = record().expect("re-record");
         assert!(!again.created, "identical results dedupe to the same run");
     }
 
     #[test]
     fn experiment_recorders_commit_cell_keyed_runs() {
-        use crate::experiments::{OperatingPointReport, RealismRow, SiteProfileRow};
+        use crate::experiments::{
+            operating_point_feed_config, operating_point_plan, payload_realism_feed_config,
+            site_profile_feed_config, OperatingPointReport, PayloadStatsRow, RealismRow,
+            SiteProfileRow,
+        };
         use crate::host_overhead::OverheadRow;
         use crate::operator::FatigueRow;
         use crate::sweep::{ErrorCurve, SweepPoint};
 
-        let overhead = record_host_overhead(
+        let overhead = OverheadRow {
+            load: 0.3,
+            level: "nominal",
+            audit_share: 0.04,
+            with_agent_share: 0.06,
+            production_events_per_sec: 28_000.0,
+        };
+        let overhead = record_rows(
             &spec("overhead"),
-            42,
-            &[(
-                0.3,
-                vec![OverheadRow {
-                    level: "nominal",
-                    audit_share: 0.04,
-                    with_agent_share: 0.06,
-                    production_events_per_sec: 28_000.0,
-                }],
-            )],
+            "host-overhead",
+            Provenance::new(
+                &FeedConfig::builder().seed(42).build(),
+                SensitivityPolicy::not_applicable(
+                    "not applicable (synthetic host load, no detection sweep)",
+                ),
+            ),
+            None,
+            overhead.cells(),
         )
         .expect("overhead records");
         assert_eq!(overhead.header.context, "host-overhead");
+        assert_eq!(overhead.header.run_id, "r618275554fa95d5a", "the recorded bytes moved");
         assert_eq!(overhead.header.products, vec!["nominal@load0.30"]);
         assert_eq!(overhead.header.records, 3);
 
@@ -819,72 +557,91 @@ mod tests {
             trust_detection_at_eer: Some(0.5),
             trust_detection_at_low_fn: Some(0.9),
         };
-        let op = record_operating_point(&spec("op-point"), 42, 0.2, &[report])
-            .expect("operating point records");
+        let op = record_rows(
+            &spec("op-point"),
+            "operating-point",
+            Provenance::new(
+                &operating_point_feed_config(42),
+                SensitivityPolicy::budgeted(&operating_point_plan(0.2)),
+            ),
+            None,
+            report.cells(),
+        )
+        .expect("operating point records");
         assert_eq!(op.header.context, "operating-point");
+        assert_eq!(op.header.run_id, "re36102e3d20b56ff", "the recorded bytes moved");
         assert_eq!(op.header.products, vec!["GuardSecure GS-5@eer", "GuardSecure GS-5@low-fn"]);
         assert_eq!(op.header.records, 7);
 
-        let fatigue = record_operator_fatigue(
+        let fatigue = FatigueRow {
+            operator: "single watchstander",
+            sensitivity: 0.5,
+            alerts: 80,
+            triaged: 40,
+            machine_detection: 0.8,
+            effective_detection: 0.4,
+        };
+        let fatigue = record_rows(
             &spec("fatigue"),
-            &quick_request(),
-            &[(
-                "single watchstander".to_owned(),
-                vec![FatigueRow {
-                    sensitivity: 0.5,
-                    alerts: 80,
-                    triaged: 40,
-                    machine_detection: 0.8,
-                    effective_detection: 0.4,
-                }],
-            )],
+            "operator-fatigue",
+            Provenance::for_request(&quick_request()),
+            None,
+            fatigue.cells(),
         )
         .expect("fatigue records");
+        assert_eq!(fatigue.header.run_id, "ra640d79f1857d1be", "the recorded bytes moved");
         assert_eq!(fatigue.header.products, vec!["single watchstander@s0.50"]);
         assert_eq!(fatigue.header.records, 4);
 
-        let realism = record_payload_realism(
+        let stats = PayloadStatsRow {
+            load: "realistic".to_owned(),
+            byte_entropy: 5.1,
+            printable_fraction: 0.93,
+            realism_score: 0.9,
+        };
+        let realism = RealismRow {
+            product: "NidSentry NS-5".to_owned(),
+            alerts_per_kpkt_realistic: 2.0,
+            alerts_per_kpkt_random: 0.1,
+            cost_realistic: 900.0,
+            cost_random: 400.0,
+        };
+        let realism = record_rows(
             &spec("realism"),
-            42,
-            0.8,
-            &[PayloadStatsRow {
-                load: "realistic".to_owned(),
-                byte_entropy: 5.1,
-                printable_fraction: 0.93,
-                realism_score: 0.9,
-            }],
-            &[RealismRow {
-                product: "NidSentry NS-5".to_owned(),
-                alerts_per_kpkt_realistic: 2.0,
-                alerts_per_kpkt_random: 0.1,
-                cost_realistic: 900.0,
-                cost_random: 400.0,
-            }],
+            "payload-realism",
+            Provenance::new(&payload_realism_feed_config(42), SensitivityPolicy::fixed(0.8)),
+            None,
+            stats.cells().into_iter().chain(realism.cells()),
         )
         .expect("realism records");
         assert_eq!(realism.header.context, "payload-realism");
+        assert_eq!(realism.header.run_id, "re3d36ee3ff5afe15", "the recorded bytes moved");
         assert_eq!(realism.header.records, 3 + 4);
         assert!(realism.header.products.contains(&"payload:realistic".to_owned()));
 
-        let site = record_site_profile(
+        let site = SiteProfileRow {
+            product: "FlowHunter FH-9".to_owned(),
+            fp_matched: 0.01,
+            fp_mismatched: 0.2,
+            detection_matched: 0.8,
+            detection_mismatched: 0.6,
+        };
+        let site = record_rows(
             &spec("site"),
-            42,
-            0.7,
-            &[SiteProfileRow {
-                product: "FlowHunter FH-9".to_owned(),
-                fp_matched: 0.01,
-                fp_mismatched: 0.2,
-                detection_matched: 0.8,
-                detection_mismatched: 0.6,
-            }],
+            "site-profile",
+            Provenance::new(&site_profile_feed_config(42), SensitivityPolicy::fixed(0.7)),
+            None,
+            site.cells(),
         )
         .expect("site profile records");
+        assert_eq!(site.header.run_id, "r1a027b136cc3c8a6", "the recorded bytes moved");
         assert_eq!(site.header.products.len(), 2, "matched and mismatched cells");
         assert_eq!(site.header.records, 4);
     }
 
     #[test]
     fn fault_matrix_records_one_cell_per_row() {
+        use crate::experiments::{fault_matrix_feed_config, FaultMatrixRow, FaultScenario};
         use idse_exec::Executor;
         use idse_ids::products::{IdsProduct, ProductId};
         let spec = spec("matrix");
@@ -898,8 +655,14 @@ mod tests {
             42,
             &Executor::new(2),
         );
-        let run = record_fault_matrix(&spec, &scenarios, &rows, 0.7, 42).expect("matrix records");
+        let provenance =
+            Provenance::new(&fault_matrix_feed_config(42), SensitivityPolicy::fixed(0.7))
+                .with_fault_plans(scenarios.iter().map(|s| &s.plan));
+        let cells = rows.iter().flat_map(FaultMatrixRow::cells);
+        let run =
+            record_rows(&spec, "fault-matrix", provenance, None, cells).expect("matrix records");
         assert_eq!(run.header.context, "fault-matrix");
+        assert_eq!(run.header.run_id, "r5ecafc919a39d3f2", "the recorded bytes moved");
         assert_eq!(run.header.products.len(), rows.len(), "one product key per cell");
         assert!(run.header.products[0].contains('@'));
         let plans = run
