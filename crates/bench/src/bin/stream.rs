@@ -3,14 +3,14 @@
 //! ```text
 //! stream [--transactions N] [--hosts N] [--rate SESSIONS_PER_SEC]
 //!        [--chunk RECORDS] [--shards N] [--intensity N]
-//!        [--product nid|guard|flow|agent] [--sensitivity S]
+//!        [--product nid|guard|flow|agent|all] [--sensitivity S]
 //!        [--seed N] [--jobs N] [--json PATH] [--out PATH]
 //! ```
 //!
 //! Drives the `RecordStream` evaluation path end to end: the test feed is
 //! never materialized — each flow-key shard pulls fixed-size record chunks
-//! from a lazy generator, runs them through the Figure-1 pipeline, and
-//! folds counts into a constant-memory ledger. Memory stays O(chunk +
+//! from a lazy generator once, runs them through every product's Figure-1
+//! pipeline, and folds counts into a constant-memory ledger. Memory stays O(chunk +
 //! distinct flows) regardless of `--transactions`, so ten-million-record
 //! runs fit where the materialized path would need gigabytes.
 //!
@@ -27,7 +27,7 @@ use idse_ids::products::{IdsProduct, ProductId};
 
 const USAGE: &str = "usage: stream [--transactions N] [--hosts N] [--rate R]\n\
                      \x20             [--chunk RECORDS] [--shards N] [--intensity N]\n\
-                     \x20             [--product nid|guard|flow|agent] [--sensitivity S]\n\
+                     \x20             [--product nid|guard|flow|agent|all] [--sensitivity S]\n\
                      \x20             [--seed N] [--jobs N] [--json PATH] [--out PATH]";
 
 fn main() {

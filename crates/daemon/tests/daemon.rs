@@ -66,6 +66,17 @@ fn malformed_submits_are_rejected_with_reasons() {
 }
 
 #[test]
+fn deeply_nested_line_is_rejected_and_the_core_keeps_serving() {
+    let mut core = core(2);
+    let script = format!("{}\n{}", "[".repeat(200_000), stream_submit());
+    let out = replay(&mut core, &script).expect("replay");
+    assert_eq!(out.len(), 2);
+    assert!(!ok(&out[0]), "the nested line is rejected: {}", out[0]);
+    assert!(out[0].contains("recursion limit exceeded"), "{}", out[0]);
+    assert!(ok(&out[1]), "the next request is served: {}", out[1]);
+}
+
+#[test]
 fn queue_full_submit_is_rejected_with_reason_and_slot_comes_back() {
     let mut core = core(2);
     let script = format!("{0}\n{0}\n{0}", stream_submit());

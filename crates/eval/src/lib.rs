@@ -59,5 +59,5 @@ pub use provenance::{
     record_evaluation, record_rows, Cell, Provenance, SensitivityPolicy, StoreSpec,
 };
 pub use service::{JobKind, JobSpec, SpecError, StoreRequest, STANDARD_SEED};
-pub use streaming::{ShardOutcome, StreamEvaluation, StreamScorecard};
+pub use streaming::{StreamEvaluation, StreamScorecard};
 pub use sweep::SweepPlan;

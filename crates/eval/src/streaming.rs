@@ -6,18 +6,23 @@
 //! `idse-traffic` [`RecordStream`]:
 //!
 //! * the engine models train once per request, straight from the training
-//!   stream's chunks, and every `(product, shard)` job deploys over the
-//!   same `Arc`-shared [`TrainedModels`] — the training window is never
+//!   stream's chunks, and every product's session deploys over the same
+//!   `Arc`-shared [`TrainedModels`] — the training window is never
 //!   materialized either;
 //! * each shard consumes a lazily merged stream of its background chunk
 //!   sequence and its slice of the (small, materialized) campaign, in the
 //!   exact order `Trace::merge` would produce ([`ShardFeed`]);
-//! * scoring happens incrementally through a [`StreamLedger`] plus the
-//!   pipeline's own `alert_truths` / [`idse_ids::Alert::flow`] channels,
-//!   so no record index over the full trace ever exists;
-//! * one job per `(product, shard)` runs on the [`idse_exec::Executor`],
-//!   and the shard outcomes merge in deterministic shard order — the
-//!   resulting [`StreamScorecard`] is byte-identical at any
+//! * one job per shard runs on the [`idse_exec::Executor`]: it generates
+//!   the shard's feed once and fans each chunk out, in slices of
+//!   `ceil(chunk / products)` records, to one pipeline session per
+//!   product, so every product sees the same records and the job's summed
+//!   record window stays about one chunk;
+//! * scoring happens incrementally through one product-independent
+//!   [`StreamLedger`] per shard plus each pipeline's own `alert_truths` /
+//!   [`idse_ids::Alert::flow`] channels, so no record index over the full
+//!   trace ever exists;
+//! * the shard outcomes merge in deterministic shard order — the resulting
+//!   [`StreamScorecard`]s are byte-identical at any
 //!   [`EvaluationRequest::jobs`] setting and any chunk size.
 //!
 //! Shard count *is* part of the experiment identity (a sharded pipeline
@@ -30,6 +35,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::confusion::{ConfusionCounts, StreamLedger};
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::harness::EvaluationRequest;
+use idse_exec::plan::DEFAULT_JOB_TELEMETRY_CAPACITY;
 use idse_exec::{CancelToken, Cancelled, ExperimentPlan, JobKey};
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
@@ -114,127 +120,136 @@ impl Iterator for ShardFeed {
     }
 }
 
-/// What one `(product, shard)` job produced.
-#[derive(Debug)]
-pub struct ShardOutcome {
-    /// Shard index.
-    pub shard: u32,
-    /// Incremental transaction ledger over this shard's records.
-    pub ledger: StreamLedger,
+/// What one product's session produced over one shard.
+#[derive(Debug, Default)]
+struct SessionOutcome {
     /// Attack ids with at least one alert.
-    pub detected: BTreeSet<u32>,
+    detected: BTreeSet<u32>,
     /// Distinct benign canonical flows falsely flagged.
-    pub flagged: BTreeSet<FlowKey>,
+    flagged: BTreeSet<FlowKey>,
     /// Raw alert count.
-    pub alerts: u64,
+    alerts: u64,
     /// Packets offered to the deployment.
-    pub offered: u64,
+    offered: u64,
     /// Packets inspected by at least one engine.
-    pub monitored: u64,
+    monitored: u64,
     /// Packets lost before inspection.
-    pub lost: u64,
+    lost: u64,
     /// `(attack, benign)` packets suppressed by automated blocking.
-    pub blocked: (u64, u64),
-    /// Peak live records in the pipeline window (the bounded-RSS figure).
-    pub window_peak: usize,
-    /// Virtual time the shard's run finished.
-    pub finished_at: SimTime,
+    blocked: (u64, u64),
+    /// Peak live records in the session's window (the bounded-RSS figure).
+    window_peak: usize,
+    /// Virtual time the session's run finished.
+    finished_at: SimTime,
 }
 
-/// Run one shard of a product's streaming evaluation.
-///
-/// The shard's deployment carries fresh per-run engine state over
-/// `models`, trained once for the whole request (see
-/// [`EvaluationRequest::evaluate_stream`]); the shard trains nothing, and
-/// its test window is never materialized.
-pub fn run_shard(
-    product: &IdsProduct,
-    profile: &idse_traffic::SiteProfile,
-    config: &FeedConfig,
-    models: &TrainedModels,
-    sensitivity: f64,
-    shard: u32,
-    telemetry: idse_telemetry::Telemetry,
-) -> ShardOutcome {
-    run_shard_cancellable(
-        product,
-        profile,
-        config,
-        models,
-        sensitivity,
-        shard,
-        telemetry,
-        &CancelToken::new(),
-    )
-    .expect("a fresh token never cancels")
+/// What one shard job produced: the shard's product-independent ledger,
+/// observed once, and one [`SessionOutcome`] per requested product.
+#[derive(Debug)]
+struct ShardOutcome {
+    /// Incremental transaction ledger over this shard's records.
+    ledger: StreamLedger,
+    /// Per-product results, in request order.
+    sessions: Vec<SessionOutcome>,
 }
 
-/// [`run_shard`] with a cooperative cancellation point at every chunk
-/// boundary.
+/// Run one shard for every product: generate the shard's feed once and
+/// fan each chunk out to one [`PipelineSession`] per product.
 ///
-/// The token is checked *between* chunks — never mid-chunk — so a
-/// cancelled shard stops at a deterministic record boundary: everything
-/// observed so far (including the `stream.chunk.records` progress
-/// counters in `telemetry`) is a pure function of the feed and the
+/// Each session carries fresh per-run engine state over `models`, trained
+/// once for the whole request (see [`EvaluationRequest::evaluate_stream`]);
+/// the shard trains nothing, and its test window is never materialized.
+/// A chunk reaches the sessions in slices of `ceil(len / products)`
+/// records: a session admits a whole pushed batch into its record window
+/// before draining it, so slicing keeps the job's summed window at about
+/// one chunk however many products share it. Chunking is pure batching,
+/// so the slices never change a scorecard.
+///
+/// `cancel` is checked *between* chunks — never mid-chunk — so a
+/// cancelled shard stops at a deterministic record boundary shared by all
+/// its products: everything observed so far (including each product's
+/// `stream.chunk.records` progress counters, recorded in `telemetry`
+/// under the product's scope) is a pure function of the feed and the
 /// checkpoint count, and the partial telemetry is flushed by the plan's
 /// cancellable reduce.
+///
+/// [`PipelineSession`]: idse_ids::pipeline::PipelineSession
 #[allow(clippy::too_many_arguments)]
-pub fn run_shard_cancellable(
-    product: &IdsProduct,
+fn run_shard(
+    products: &[IdsProduct],
     profile: &idse_traffic::SiteProfile,
     config: &FeedConfig,
     models: &TrainedModels,
     sensitivity: f64,
     shard: u32,
-    telemetry: idse_telemetry::Telemetry,
+    telemetry: &idse_telemetry::Telemetry,
     cancel: &CancelToken,
 ) -> Result<ShardOutcome, Cancelled> {
-    let run_config = RunConfig {
-        sensitivity: Sensitivity::new(sensitivity),
-        monitored_hosts: TestFeed::server_hosts(profile),
-        auto_response: true,
-        telemetry: telemetry.clone(),
-        ..RunConfig::default()
-    };
-    let runner = PipelineRunner::new(product.clone(), run_config).with_models(models.clone());
-    // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; all reported counts come from the ordered ledger below")
-    let mut session = runner.session();
+    let monitored_hosts = TestFeed::server_hosts(profile);
+    let scoped: Vec<idse_telemetry::Telemetry> =
+        products.iter().map(|p| telemetry.with_scope(p.id.name())).collect();
+    let mut sessions: Vec<_> = products
+        .iter()
+        .zip(&scoped)
+        .map(|(product, telemetry)| {
+            let run_config = RunConfig {
+                sensitivity: Sensitivity::new(sensitivity),
+                monitored_hosts: monitored_hosts.clone(),
+                auto_response: true,
+                telemetry: telemetry.clone(),
+                ..RunConfig::default()
+            };
+            let runner =
+                PipelineRunner::new(product.clone(), run_config).with_models(models.clone());
+            // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; all reported counts come from the ordered ledger below")
+            runner.session()
+        })
+        .collect();
     let mut ledger = StreamLedger::new();
     for chunk in ShardFeed::new(profile, config, shard) {
         cancel.guard()?;
         ledger.observe_chunk(&chunk);
-        let progress_at = chunk.last().map(|r| r.at.as_nanos()).unwrap_or(0);
-        let records = chunk.len() as u64;
-        session.push_chunk(chunk);
-        telemetry.counter(progress_at, "stream.chunk.records", records);
-    }
-    let outcome = session.finish();
-
-    let mut detected = BTreeSet::new();
-    let mut flagged = BTreeSet::new();
-    for (alert, truth) in outcome.alerts.iter().zip(outcome.alert_truths.iter()) {
-        match truth {
-            Some(g) => {
-                detected.insert(g.attack_id);
-            }
-            None => {
-                flagged.insert(alert.flow.canonical());
+        for slice in chunk.chunks(chunk.len().div_ceil(products.len())) {
+            for session in &mut sessions {
+                session.push_chunk(slice.iter().cloned());
             }
         }
+        let progress_at = chunk.last().map(|r| r.at.as_nanos()).unwrap_or(0);
+        for telemetry in &scoped {
+            telemetry.counter(progress_at, "stream.chunk.records", chunk.len() as u64);
+        }
     }
-    Ok(ShardOutcome {
-        shard,
-        ledger,
-        detected,
-        flagged,
-        alerts: outcome.alerts.len() as u64,
-        offered: outcome.offered,
-        monitored: outcome.monitored,
-        lost: outcome.missed,
-        blocked: outcome.blocked,
-        window_peak: outcome.window_peak,
-        finished_at: outcome.finished_at,
-    })
+
+    let sessions = sessions
+        .into_iter()
+        .map(|session| {
+            let outcome = session.finish();
+            let mut detected = BTreeSet::new();
+            let mut flagged = BTreeSet::new();
+            for (alert, truth) in outcome.alerts.iter().zip(outcome.alert_truths.iter()) {
+                match truth {
+                    Some(g) => {
+                        detected.insert(g.attack_id);
+                    }
+                    None => {
+                        flagged.insert(alert.flow.canonical());
+                    }
+                }
+            }
+            SessionOutcome {
+                detected,
+                flagged,
+                alerts: outcome.alerts.len() as u64,
+                offered: outcome.offered,
+                monitored: outcome.monitored,
+                lost: outcome.missed,
+                blocked: outcome.blocked,
+                window_peak: outcome.window_peak,
+                finished_at: outcome.finished_at,
+            }
+        })
+        .collect();
+    Ok(ShardOutcome { ledger, sessions })
 }
 
 /// The merged, serializable result of one product's streaming run.
@@ -301,9 +316,11 @@ pub struct StreamEvaluation {
     pub scorecard: StreamScorecard,
     /// Figure 3 quantities backing it.
     pub confusion: ConfusionCounts,
-    /// Max peak live records across shards — the bounded-RSS figure.
-    /// Deliberately *not* part of the scorecard: it scales with the
-    /// chunk size (pure batching), while the scorecard bytes must be
+    /// Max peak live records in this product's session across shards —
+    /// the bounded-RSS figure. A shard job's sessions share one chunk in
+    /// slices, so their peaks sum to about one chunk per job. Deliberately
+    /// *not* part of the scorecard: it scales with the chunk size and the
+    /// product count (pure batching), while the scorecard bytes must be
     /// identical at any chunk size.
     pub window_peak: usize,
 }
@@ -313,10 +330,14 @@ impl EvaluationRequest {
     /// request describes, at a fixed `sensitivity`.
     ///
     /// The models the products deploy train once, from the training
-    /// stream's chunks; then one job per `(product, shard)` runs on the
-    /// request's executor over those shared models. Shard outcomes merge
-    /// in shard order, so the returned scorecards are byte-identical for
-    /// any [`EvaluationRequest::jobs`] setting and any `chunk_records`.
+    /// stream's chunks; then one job per shard runs on the request's
+    /// executor over those shared models. Each job generates its shard's
+    /// feed and observes it into the shard ledger once, and fans every
+    /// chunk out to one pipeline session per product, so all products see
+    /// the same records and parallelism is over shards. Shard outcomes
+    /// merge in shard order, so the returned scorecards (one per product,
+    /// in request order) are byte-identical for any
+    /// [`EvaluationRequest::jobs`] setting and any `chunk_records`.
     /// Neither window is materialized: memory stays O(chunk + in-flight
     /// sessions + distinct-flow hashes + trained models), plus the
     /// training-time DNS/ICMP payload sizes the anomaly model's two-pass
@@ -332,8 +353,7 @@ impl EvaluationRequest {
 
     /// [`EvaluationRequest::evaluate_stream`] with cooperative
     /// cancellation: the token is polled at every chunk boundary of every
-    /// `(product, shard)` job (see [`run_shard_cancellable`]) and between
-    /// job claims on the executor.
+    /// shard job and between job claims on the executor.
     ///
     /// On cancellation the partial telemetry of every job that ran —
     /// including the per-chunk `stream.chunk.records` progress counters of
@@ -345,6 +365,9 @@ impl EvaluationRequest {
         sensitivity: f64,
         cancel: &CancelToken,
     ) -> Result<Vec<StreamEvaluation>, Cancelled> {
+        if products.is_empty() {
+            return Ok(Vec::new());
+        }
         let exec = self.executor();
         let profile = TestFeed::realtime_cluster_profile(&self.feed);
         let mut trainer = Trainer::for_products(products, &TestFeed::server_hosts(&profile));
@@ -357,101 +380,94 @@ impl EvaluationRequest {
         }
         let models = trainer.finish();
 
-        let mut plan: ExperimentPlan<(usize, u32)> = ExperimentPlan::new(self.feed.seed);
-        for (index, product) in products.iter().enumerate() {
-            for shard in 0..self.feed.shards {
-                plan.push_scoped(
-                    JobKey::new(product.id.name(), "shard", shard),
-                    product.id.name(),
-                    (index, shard),
-                );
-            }
+        // One job buffers what `products.len()` single-product jobs would,
+        // so fan-out never evicts an event.
+        let mut plan: ExperimentPlan<u32> = ExperimentPlan::new(self.feed.seed)
+            .with_job_telemetry_capacity(products.len() * DEFAULT_JOB_TELEMETRY_CAPACITY);
+        for shard in 0..self.feed.shards {
+            plan.push(JobKey::new("stream", "shard", shard), shard);
         }
-        let results =
-            plan.run_cancellable(&exec, &self.telemetry, cancel, |ctx, &(index, shard)| {
-                run_shard_cancellable(
-                    &products[index],
+        let shard_outcomes: Vec<ShardOutcome> = plan
+            .run_cancellable(&exec, &self.telemetry, cancel, |ctx, &shard| {
+                run_shard(
+                    products,
                     &profile,
                     &self.feed,
                     &models,
                     sensitivity,
                     shard,
-                    ctx.telemetry.clone(),
+                    &ctx.telemetry,
                     cancel,
                 )
-            })?;
-        let mut outcomes: BTreeMap<JobKey, ShardOutcome> =
-            results.into_iter().map(|r| (r.key, r.output)).collect();
-
-        Ok(products
-            .iter()
-            .map(|product| {
-                let name = product.id.name();
-                let shard_outcomes: Vec<ShardOutcome> = (0..self.feed.shards)
-                    .map(|s| {
-                        outcomes
-                            .remove(&JobKey::new(name, "shard", s))
-                            .expect("every shard job completed under its key")
-                    })
-                    .collect();
-                self.merge_shards(name, shard_outcomes)
-            })
-            .collect())
+            })?
+            .into_iter()
+            .map(|r| r.output)
+            .collect();
+        Ok(self.merge_shards(products, shard_outcomes))
     }
 
     /// Deterministic reduce: fold shard outcomes (in shard order) into one
-    /// scorecard.
-    fn merge_shards(&self, product: &str, shard_outcomes: Vec<ShardOutcome>) -> StreamEvaluation {
+    /// scorecard per product. Each shard's ledger is folded once and
+    /// shared by every product's scorecard.
+    fn merge_shards(
+        &self,
+        products: &[IdsProduct],
+        shard_outcomes: Vec<ShardOutcome>,
+    ) -> Vec<StreamEvaluation> {
         let mut ledger = StreamLedger::new();
-        let mut detected: BTreeSet<u32> = BTreeSet::new();
-        let mut flagged: BTreeSet<FlowKey> = BTreeSet::new();
-        let (mut alerts, mut offered, mut monitored, mut lost) = (0u64, 0u64, 0u64, 0u64);
-        let mut blocked = (0u64, 0u64);
-        let mut window_peak = 0usize;
-        let mut finished_at = SimTime::ZERO;
-        for o in shard_outcomes {
-            ledger.merge(o.ledger);
-            detected.extend(o.detected);
-            flagged.extend(o.flagged);
-            alerts += o.alerts;
-            offered += o.offered;
-            monitored += o.monitored;
-            lost += o.lost;
-            blocked.0 += o.blocked.0;
-            blocked.1 += o.blocked.1;
-            window_peak = window_peak.max(o.window_peak);
-            finished_at = finished_at.max(o.finished_at);
+        let mut merged: Vec<SessionOutcome> =
+            products.iter().map(|_| SessionOutcome::default()).collect();
+        for outcome in shard_outcomes {
+            ledger.merge(outcome.ledger);
+            for (m, o) in merged.iter_mut().zip(outcome.sessions) {
+                m.detected.extend(o.detected);
+                m.flagged.extend(o.flagged);
+                m.alerts += o.alerts;
+                m.offered += o.offered;
+                m.monitored += o.monitored;
+                m.lost += o.lost;
+                m.blocked.0 += o.blocked.0;
+                m.blocked.1 += o.blocked.1;
+                m.window_peak = m.window_peak.max(o.window_peak);
+                m.finished_at = m.finished_at.max(o.finished_at);
+            }
         }
         let records = ledger.records();
-        let confusion = ledger.score(&detected, flagged.len(), alerts as usize);
-        let per_class = confusion
-            .per_class
+        products
             .iter()
-            .map(|(class, &counts)| (format!("{class:?}"), counts))
-            .collect();
-        let scorecard = StreamScorecard {
-            product: product.to_owned(),
-            seed: self.feed.seed,
-            shards: self.feed.shards,
-            records,
-            transactions: confusion.transactions as u64,
-            actual_attacks: confusion.actual_attacks as u64,
-            detected_attacks: confusion.detected_attacks as u64,
-            false_positives: confusion.false_positives as u64,
-            missed_attacks: confusion.missed_attacks.len() as u64,
-            false_positive_ratio: confusion.false_positive_ratio(),
-            false_negative_ratio: confusion.false_negative_ratio(),
-            detection_rate: confusion.detection_rate(),
-            alerts,
-            offered,
-            monitored,
-            lost,
-            blocked_attack: blocked.0,
-            blocked_benign: blocked.1,
-            finished_at_ns: finished_at.as_nanos(),
-            per_class,
-        };
-        StreamEvaluation { scorecard, confusion, window_peak }
+            .zip(merged)
+            .map(|(product, m)| {
+                let confusion = ledger.score(&m.detected, m.flagged.len(), m.alerts as usize);
+                let per_class = confusion
+                    .per_class
+                    .iter()
+                    .map(|(class, &counts)| (format!("{class:?}"), counts))
+                    .collect();
+                let scorecard = StreamScorecard {
+                    product: product.id.name().to_owned(),
+                    seed: self.feed.seed,
+                    shards: self.feed.shards,
+                    records,
+                    transactions: confusion.transactions as u64,
+                    actual_attacks: confusion.actual_attacks as u64,
+                    detected_attacks: confusion.detected_attacks as u64,
+                    false_positives: confusion.false_positives as u64,
+                    missed_attacks: confusion.missed_attacks.len() as u64,
+                    false_positive_ratio: confusion.false_positive_ratio(),
+                    false_negative_ratio: confusion.false_negative_ratio(),
+                    detection_rate: confusion.detection_rate(),
+                    alerts: m.alerts,
+                    offered: m.offered,
+                    monitored: m.monitored,
+                    lost: m.lost,
+                    blocked_attack: m.blocked.0,
+                    blocked_benign: m.blocked.1,
+                    finished_at_ns: m.finished_at.as_nanos(),
+                    per_class,
+                };
+                StreamEvaluation { scorecard, confusion, window_peak: m.window_peak }
+            })
+            .collect()
     }
 }
 
@@ -552,6 +568,82 @@ mod tests {
         assert_eq!(baseline, render(4, 512), "worker count changed the bytes");
         assert_eq!(baseline, render(2, 64), "chunk size changed the bytes");
         assert_eq!(baseline, render(8, 4096), "chunk size changed the bytes");
+    }
+
+    #[test]
+    fn fan_out_scores_every_product_as_if_streamed_alone() {
+        let products = IdsProduct::all_models();
+        for shards in [1, 3] {
+            for chunk in [64, 4096] {
+                let request = EvaluationRequest::new().with_feed(small_config(shards, chunk));
+                let alone: Vec<StreamEvaluation> = products
+                    .iter()
+                    .map(|p| {
+                        request.evaluate_stream(std::slice::from_ref(p), 0.7).pop().expect("one")
+                    })
+                    .collect();
+                for jobs in [1, 4] {
+                    let together = request.clone().with_jobs(jobs).evaluate_stream(&products, 0.7);
+                    assert_eq!(together.len(), products.len());
+                    // Sliced pushes: the sessions sharing a job hold about
+                    // one chunk between them, so each holds less than the
+                    // product streamed alone.
+                    let peak = |evals: &[StreamEvaluation]| {
+                        evals.iter().map(|e| e.window_peak).max().expect("four products")
+                    };
+                    assert!(
+                        peak(&together) < peak(&alone),
+                        "shards {shards} chunk {chunk} jobs {jobs}: window peak {} vs alone {}",
+                        peak(&together),
+                        peak(&alone)
+                    );
+                    for (t, a) in together.iter().zip(&alone) {
+                        let at = format!(
+                            "{} at shards {shards} chunk {chunk} jobs {jobs}",
+                            a.scorecard.product
+                        );
+                        assert_eq!(t.scorecard.to_json(), a.scorecard.to_json(), "{at}");
+                        assert!(t.window_peak <= a.window_peak, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_keeps_per_product_progress_and_every_event() {
+        use idse_telemetry::{MemorySink, Telemetry};
+        let products = IdsProduct::all_models();
+        let run = |products: &[IdsProduct], jobs: usize| {
+            let sink = MemorySink::new(1 << 22);
+            let evals = EvaluationRequest::new()
+                .with_feed(small_config(3, 128))
+                .with_jobs(jobs)
+                .with_telemetry(Telemetry::new(sink.clone()))
+                .evaluate_stream(products, 0.7);
+            (evals, sink.events())
+        };
+        let (evals, events) = run(&products, 1);
+        let (_, wide) = run(&products, 4);
+        let lines = |events: &[idse_telemetry::Event]| -> Vec<String> {
+            events.iter().map(|e| e.to_jsonl()).collect()
+        };
+        assert_eq!(lines(&events), lines(&wide), "worker count changed the event stream");
+
+        for (product, eval) in products.iter().zip(&evals) {
+            let name = product.id.name();
+            let progress: f64 = events
+                .iter()
+                .filter(|e| e.scope == name && e.name == "stream.chunk.records")
+                .map(|e| e.value)
+                .sum();
+            assert_eq!(progress as u64, eval.scorecard.records, "{name} progress");
+            let (_, alone) = run(std::slice::from_ref(product), 1);
+            let count = |events: &[idse_telemetry::Event]| {
+                events.iter().filter(|e| e.scope == name).count()
+            };
+            assert_eq!(count(&events), count(&alone), "{name} lost events to fan-out");
+        }
     }
 
     #[test]
