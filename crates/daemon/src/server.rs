@@ -11,8 +11,10 @@
 //! between connections; accepted streams switch back to blocking for
 //! plain line-at-a-time I/O. One connection may carry many requests;
 //! `watch` streams incrementally until the job reaches a terminal state.
+//! A request line longer than [`MAX_REQUEST_BYTES`] is answered with an
+//! error and skipped in bounded memory; the connection keeps serving.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::Mutex;
@@ -21,6 +23,9 @@ use idse_exec::{breathe, with_worker};
 
 use crate::core::{execute_job, DaemonCore};
 use crate::protocol::{error_line, line, Request};
+
+/// Longest request line the server reads, newline excluded (1 MiB).
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Serve the protocol on `socket` until a shutdown request completes.
 ///
@@ -89,17 +94,18 @@ fn serve_client(stream: UnixStream, shared: &Mutex<DaemonCore>) -> std::io::Resu
     stream.set_nonblocking(false)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut text = String::new();
+    let mut bytes = Vec::new();
     loop {
-        text.clear();
-        if reader.read_line(&mut text)? == 0 {
+        let Some(fits) = read_request(&mut reader, &mut bytes)? else {
             return Ok(());
-        }
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let request = match Request::parse(trimmed) {
+        };
+        let parsed = match (fits, std::str::from_utf8(&bytes)) {
+            (false, _) => Err(format!("request line exceeds the {MAX_REQUEST_BYTES}-byte limit")),
+            (true, Err(e)) => Err(format!("request is not UTF-8: {e}")),
+            (true, Ok(text)) if text.trim().is_empty() => continue,
+            (true, Ok(text)) => Request::parse(text.trim()),
+        };
+        let request = match parsed {
             Ok(request) => request,
             Err(e) => {
                 writeln!(writer, "{}", error_line(&e))?;
@@ -129,6 +135,22 @@ fn serve_client(stream: UnixStream, shared: &Mutex<DaemonCore>) -> std::io::Resu
         }
         writer.flush()?;
     }
+}
+
+/// Read one request line into `bytes`, holding at most
+/// [`MAX_REQUEST_BYTES`] + 1 bytes of it. `None` at end of stream;
+/// `Some(false)` if the line was longer, in which case the rest of it has
+/// been skipped up to and including its newline.
+fn read_request(reader: &mut impl BufRead, bytes: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    bytes.clear();
+    if reader.by_ref().take(MAX_REQUEST_BYTES as u64 + 1).read_until(b'\n', bytes)? == 0 {
+        return Ok(None);
+    }
+    let fits = bytes.last() == Some(&b'\n') || bytes.len() <= MAX_REQUEST_BYTES;
+    if !fits {
+        reader.skip_until(b'\n')?;
+    }
+    Ok(Some(fits))
 }
 
 /// Stream a job's event lines from the start, then follow the live tail

@@ -76,6 +76,61 @@ fn deeply_nested_line_is_rejected_and_the_core_keeps_serving() {
     assert!(ok(&out[1]), "the next request is served: {}", out[1]);
 }
 
+/// Over the live socket: a 2 MiB request line is answered with an error
+/// naming the limit, and the same connection still serves the next
+/// request.
+#[cfg(unix)]
+#[test]
+fn over_long_request_line_is_rejected_and_the_connection_keeps_serving() {
+    use idse_daemon::server::{serve, MAX_REQUEST_BYTES};
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let socket = scratch("long-line").join("daemon.sock");
+    let (served, answers) = idse_exec::with_worker(
+        || serve(core(2), &socket),
+        || -> std::io::Result<Vec<String>> {
+            let mut tries = 0;
+            let stream = loop {
+                match UnixStream::connect(&socket) {
+                    Ok(stream) => break stream,
+                    Err(e) if tries > 5_000 => return Err(e),
+                    Err(_) => {
+                        tries += 1;
+                        idse_exec::breathe();
+                    }
+                }
+            };
+            let mut reader = BufReader::new(stream.try_clone()?);
+            let mut writer = stream;
+            let mut answers = Vec::new();
+            let mut ask = |request: &[u8]| -> std::io::Result<()> {
+                writer.write_all(request)?;
+                writer.write_all(b"\n")?;
+                let mut answer = String::new();
+                reader.read_line(&mut answer)?;
+                answers.push(answer);
+                Ok(())
+            };
+            ask(stream_submit().as_bytes())?;
+            ask(&vec![b'x'; 2 * MAX_REQUEST_BYTES])?;
+            ask(br#"{"cmd":"status","id":1}"#)?;
+            ask(br#"{"cmd":"shutdown","graceful":true}"#)?;
+            Ok(answers)
+        },
+    );
+    let answers = answers.expect("client talked to the daemon");
+    served.expect("graceful shutdown");
+    assert_eq!(answers.len(), 4, "{answers:?}");
+    assert!(ok(&answers[0]), "submit: {}", answers[0]);
+    assert!(!ok(&answers[1]), "the long line is rejected: {}", answers[1]);
+    assert!(answers[1].contains(&MAX_REQUEST_BYTES.to_string()), "{}", answers[1]);
+    assert!(ok(&answers[2]), "status is still answered: {}", answers[2]);
+    let status = parsed(&answers[2]);
+    let id = status.get("job").and_then(|job| job.get("id")).and_then(Value::as_u64);
+    assert_eq!(id, Some(1), "{}", answers[2]);
+}
+
 #[test]
 fn queue_full_submit_is_rejected_with_reason_and_slot_comes_back() {
     let mut core = core(2);

@@ -355,7 +355,8 @@ impl EvaluationRequest {
                             feed,
                             &models,
                             self.max_throughput_factor,
-                        ))
+                            cancel,
+                        )?)
                     }
                     ProbeJob::Survive { index, sensitivity } => {
                         // The operating-point run again, this time with the fault

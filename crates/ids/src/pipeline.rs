@@ -47,6 +47,12 @@ const REROUTE_BACKOFF_NANOS: u64 = 250_000;
 /// this are lost, not queued — survivability is measured, not faked.
 const REPLAY_LIMIT: usize = 256;
 
+/// Records per chunk when [`PipelineRunner::run`] feeds a whole trace to a
+/// session (the value of `idse_traffic::DEFAULT_CHUNK_RECORDS`). Any
+/// chunking gives the same outcome; this one bounds the kernel's queue and
+/// the record window to a chunk plus what is in flight.
+const RUN_CHUNK_RECORDS: usize = 8192;
+
 /// Backoff paid after `hops` failed routing attempts.
 fn reroute_backoff(hops: usize) -> SimDuration {
     SimDuration::from_nanos(REROUTE_BACKOFF_NANOS * hops as u64)
@@ -61,9 +67,10 @@ pub struct PipelineOutcome {
     /// Streaming consumers score from this without re-materializing the
     /// trace to join `Alert::trigger` back to records.
     pub alert_truths: Vec<Option<GroundTruth>>,
-    /// Peak number of trace records held live at once. Equals the trace
-    /// length for monolithic runs; stays O(in-flight) for chunked sessions
-    /// — the bounded-RSS evidence.
+    /// Peak number of trace records held live at once: O(chunk +
+    /// in-flight) for every run, since even [`PipelineRunner::run`] feeds
+    /// its trace in chunks — the bounded-RSS evidence. Only a caller that
+    /// pushes a whole trace as one chunk sees the trace length here.
     pub window_peak: usize,
     /// Total packets offered.
     pub offered: u64,
@@ -197,10 +204,14 @@ impl PipelineRunner {
         self
     }
 
-    /// Run `trace` through the deployment — a one-chunk [`PipelineSession`].
+    /// Run `trace` through the deployment: a [`PipelineSession`] fed in
+    /// fixed chunks of 8192 records, byte-identical to any other chunking
+    /// and holding only a chunk plus the records in flight.
     pub fn run(&self, trace: &Trace) -> PipelineOutcome {
         let mut session = self.session();
-        session.push_chunk(trace.records().iter().cloned());
+        for chunk in trace.records().chunks(RUN_CHUNK_RECORDS) {
+            session.push_chunk(chunk.iter().cloned());
+        }
         session.finish()
     }
 
@@ -254,6 +265,29 @@ impl PipelineSession {
     /// Records fed so far.
     pub fn fed(&self) -> u64 {
         u64::from(self.next_index)
+    }
+
+    /// A lower bound on the finished run's `missed`, readable between
+    /// chunks: records offered so far that are neither monitored, blocked
+    /// nor pool-excluded, less every record still in the window (which may
+    /// yet be inspected). An evicted record's fate is final, and later
+    /// records can only add to `missed`, so the bound never exceeds the
+    /// final count whatever the rest of the run does.
+    ///
+    /// A host agent can monitor a record the data pool then excludes, so
+    /// one record may count in both; for such a deployment the only safe
+    /// bound is 0.
+    pub fn missed_lower_bound(&self) -> u64 {
+        let w = &self.world;
+        if w.agents.is_some() && !w.data_pool.is_permissive() {
+            return 0;
+        }
+        let settled = w.monitored
+            + w.blocked_attack
+            + w.blocked_benign
+            + w.pool_excluded
+            + w.window.entries.len() as u64;
+        w.offered.saturating_sub(settled)
     }
 
     /// Drain every remaining event and produce the outcome.
@@ -1195,6 +1229,49 @@ mod tests {
         assert!(attributed > 0);
     }
 
+    /// Every chunking of `trace`, `run`'s included, reproduces the run that
+    /// pushes the whole trace as one chunk, and small chunks keep the live
+    /// window far below the trace length.
+    fn assert_chunking_invariant(
+        mk: impl Fn() -> PipelineRunner,
+        trace: &Trace,
+    ) -> PipelineOutcome {
+        let mut session = mk().session();
+        session.push_chunk(trace.records().iter().cloned());
+        let mono = session.finish();
+        assert_eq!(mono.window_peak, trace.len(), "one chunk holds the whole trace");
+        let mut chunked: Vec<(String, PipelineOutcome)> = vec![("run".into(), mk().run(trace))];
+        for chunk in [1usize, 97, 4096] {
+            let mut session = mk().session();
+            for c in trace.records().chunks(chunk) {
+                session.push_chunk(c.iter().cloned());
+            }
+            let out = session.finish();
+            if chunk < trace.len() / 4 {
+                assert!(
+                    out.window_peak < trace.len() / 2,
+                    "chunk size {chunk}: window peak {} vs trace {}",
+                    out.window_peak,
+                    trace.len()
+                );
+            }
+            chunked.push((format!("chunk size {chunk}"), out));
+        }
+        for (how, out) in &chunked {
+            assert_eq!(out.alerts, mono.alerts, "{how} changed the alerts");
+            assert_eq!(out.alert_truths, mono.alert_truths, "{how}");
+            assert_eq!(out.offered, mono.offered, "{how}");
+            assert_eq!(out.monitored, mono.monitored, "{how}");
+            assert_eq!(out.missed, mono.missed, "{how}");
+            assert_eq!(out.blocked, mono.blocked, "{how}");
+            assert_eq!(out.failures, mono.failures, "{how}");
+            let counters = |o: &PipelineOutcome| format!("{:?}", o.sensor_counters);
+            assert_eq!(counters(out), counters(&mono), "{how}");
+            assert_eq!(out.finished_at, mono.finished_at, "{how}");
+        }
+        mono
+    }
+
     #[test]
     fn chunked_session_is_byte_identical_to_monolithic() {
         let trace = mixed(3, 30);
@@ -1206,31 +1283,20 @@ mod tests {
             )
             .with_training(benign(1, 10, 20.0))
         };
-        let mono = mk().run(&trace);
+        let mono = assert_chunking_invariant(mk, &trace);
         assert!(!mono.alerts.is_empty());
-        for chunk in [1usize, 97, 4096] {
-            let mut session = mk().session();
-            for c in trace.records().chunks(chunk) {
-                session.push_chunk(c.iter().cloned());
-            }
-            let out = session.finish();
-            assert_eq!(out.alerts, mono.alerts, "chunk size {chunk} changed the alerts");
-            assert_eq!(out.alert_truths, mono.alert_truths);
-            assert_eq!(out.offered, mono.offered);
-            assert_eq!(out.monitored, mono.monitored);
-            assert_eq!(out.missed, mono.missed);
-            assert_eq!(out.blocked, mono.blocked);
-            assert_eq!(out.finished_at, mono.finished_at);
-            // Small chunks keep the live window far below the trace length.
-            if chunk < trace.len() / 4 {
-                assert!(
-                    out.window_peak < trace.len() / 2,
-                    "window peak {} vs trace {}",
-                    out.window_peak,
-                    trace.len()
-                );
-            }
-        }
+    }
+
+    #[test]
+    fn chunking_is_invisible_under_overload() {
+        // A tiled replay compressed far past the sensor's capacity: the
+        // stations shed, and the shedding must not depend on the chunking.
+        let trace = benign(2, 10, 30.0).time_scaled(400.0).repeated(12);
+        assert!(trace.len() > RUN_CHUNK_RECORDS, "run must cross a chunk boundary");
+        let product = IdsProduct::model(ProductId::GuardSecure);
+        let mk = || PipelineRunner::new(product.clone(), RunConfig::default());
+        let mono = assert_chunking_invariant(mk, &trace);
+        assert!(mono.missed > 0, "the overload replay must shed: {mono:?}");
     }
 
     #[test]

@@ -175,10 +175,13 @@ impl Trace {
 
     /// Duration from first to last record.
     pub fn span(&self) -> idse_sim::SimDuration {
-        match (self.records.first(), self.records.last()) {
-            (Some(f), Some(l)) => l.at.saturating_since(f.at),
-            _ => idse_sim::SimDuration::ZERO,
-        }
+        span_of(&self.records, None)
+    }
+
+    /// The span of [`Trace::time_scaled`]`(factor)`, without building it.
+    pub fn scaled_span(&self, factor: f64) -> idse_sim::SimDuration {
+        assert!(factor > 0.0, "scale factor must be positive");
+        span_of(&self.records, Some(factor))
     }
 
     /// Total wire bytes in the trace.
@@ -210,32 +213,27 @@ impl Trace {
     }
 
     /// Concatenate `times` time-shifted copies of the trace back to back,
-    /// producing a sustained load of the same character (used by the
-    /// zero-loss and lethal-dose searches: a single compressed copy is a
-    /// transient a stage's buffer can absorb; a *sustained average* cannot
-    /// be).
+    /// producing a sustained load of the same character (a single
+    /// compressed copy is a transient a stage's buffer can absorb; a
+    /// *sustained average* cannot be). The owned collection of
+    /// [`Trace::tiled`]'s tiling without the rescale; the zero-loss and
+    /// lethal-dose searches stream the tiles instead of building this.
     pub fn repeated(&self, times: u32) -> Trace {
-        assert!(times >= 1, "need at least one copy");
-        let period = {
-            // Span plus one mean inter-arrival gap so copies do not pile up.
-            let span = self.span().as_secs_f64();
-            let gap = if self.len() > 1 { span / (self.len() - 1) as f64 } else { 0.0 };
-            idse_sim::SimDuration::from_secs_f64(span + gap)
-        };
-        let mut out = Trace::new();
-        for k in 0..times {
-            let shift = idse_sim::SimDuration::from_secs_f64(period.as_secs_f64() * k as f64);
-            for r in &self.records {
-                out.push(TraceRecord {
-                    at: r.at + shift,
-                    // idse-lint: allow(alloc-in-hot-loop, reason = "builds an owned N-times copy of a borrowed trace: the clone is the product, and runs at setup time, not per evaluated record")
-                    packet: r.packet.clone(),
-                    truth: r.truth,
-                });
-            }
-        }
-        out.finish();
-        out
+        Trace { records: Tiles::new(self.records(), None, times).collect(), sorted: true }
+    }
+
+    /// [`Trace::time_scaled`]`(factor)` tiled `copies` times, generated
+    /// record by record: the same records, in the same order, as
+    /// `time_scaled(factor).repeated(copies)`, without holding either
+    /// trace. A replay probe's memory is then bounded by what the consumer
+    /// keeps, not by `len × copies`.
+    ///
+    /// Panics if a tile would start before the previous one ends (the
+    /// shifts are rounded to whole nanoseconds): the replay must stay
+    /// time-ordered, and re-sorting a stream is not possible.
+    pub fn tiled(&self, factor: f64, copies: u32) -> Tiles<'_> {
+        assert!(factor > 0.0, "scale factor must be positive");
+        Tiles::new(self.records(), Some(factor), copies)
     }
 
     /// Iterate over records whose timestamps are scaled by `factor`
@@ -246,7 +244,7 @@ impl Trace {
         let mut out = Trace::new();
         for r in &self.records {
             out.push(TraceRecord {
-                at: SimTime::from_secs_f64(r.at.as_secs_f64() / factor),
+                at: scaled(r.at, Some(factor)),
                 // idse-lint: allow(alloc-in-hot-loop, reason = "time-compression replay materializes an owned rescaled trace once per rate step, not per evaluated record")
                 packet: r.packet.clone(),
                 truth: r.truth,
@@ -256,6 +254,98 @@ impl Trace {
         out
     }
 }
+
+/// `at` compressed by `factor`, if given.
+fn scaled(at: SimTime, factor: Option<f64>) -> SimTime {
+    factor.map_or(at, |f| SimTime::from_secs_f64(at.as_secs_f64() / f))
+}
+
+/// First-to-last span of `records`, compressed by `factor` if given.
+fn span_of(records: &[TraceRecord], factor: Option<f64>) -> idse_sim::SimDuration {
+    match (records.first(), records.last()) {
+        (Some(f), Some(l)) => scaled(l.at, factor).saturating_since(scaled(f.at, factor)),
+        _ => idse_sim::SimDuration::ZERO,
+    }
+}
+
+/// The lazy tiling behind [`Trace::tiled`] and [`Trace::repeated`]: each
+/// tile is the (optionally rescaled) trace shifted by `k` periods, where a
+/// period is the rescaled span plus one mean inter-arrival gap so copies
+/// do not pile up.
+#[derive(Debug, Clone)]
+pub struct Tiles<'a> {
+    records: &'a [TraceRecord],
+    factor: Option<f64>,
+    period: idse_sim::SimDuration,
+    copies: u32,
+    /// The tile being generated, its shift, and the next record in it.
+    copy: u32,
+    shift: idse_sim::SimDuration,
+    next: usize,
+    /// Time of the last record yielded (the order check).
+    last: SimTime,
+}
+
+impl<'a> Tiles<'a> {
+    fn new(records: &'a [TraceRecord], factor: Option<f64>, copies: u32) -> Self {
+        assert!(copies >= 1, "need at least one copy");
+        let span = span_of(records, factor).as_secs_f64();
+        let gap = if records.len() > 1 { span / (records.len() - 1) as f64 } else { 0.0 };
+        let period = idse_sim::SimDuration::from_secs_f64(span + gap);
+        Tiles {
+            records,
+            factor,
+            period,
+            copies,
+            copy: 0,
+            shift: idse_sim::SimDuration::ZERO,
+            next: 0,
+            last: SimTime::ZERO,
+        }
+    }
+
+    /// Records still to come.
+    fn remaining(&self) -> usize {
+        let whole = (self.copies - self.copy) as usize * self.records.len();
+        whole.saturating_sub(self.next)
+    }
+}
+
+impl Iterator for Tiles<'_> {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        if self.next == self.records.len() {
+            if self.records.is_empty() || self.copy + 1 >= self.copies {
+                return None;
+            }
+            self.copy += 1;
+            self.shift = idse_sim::SimDuration::from_secs_f64(
+                self.period.as_secs_f64() * f64::from(self.copy),
+            );
+            self.next = 0;
+        }
+        let r = &self.records[self.next];
+        self.next += 1;
+        let at = scaled(r.at, self.factor) + self.shift;
+        assert!(
+            at >= self.last,
+            "tile {} of {} starts at {} ns, before the previous tile ends at {} ns",
+            self.copy + 1,
+            self.copies,
+            at.as_nanos(),
+            self.last.as_nanos()
+        );
+        self.last = at;
+        Some(TraceRecord { at, packet: r.packet.clone(), truth: r.truth })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining(), Some(self.remaining()))
+    }
+}
+
+impl ExactSizeIterator for Tiles<'_> {}
 
 // serde needs `sorted` restored on deserialize; from_json handles it, but a
 // direct serde deserialize would default `sorted` to false and re-sort on
